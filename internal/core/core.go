@@ -92,8 +92,9 @@ type Config struct {
 	// identical; only cost changes. Ablation / testing knob.
 	DisableBatching bool
 	// DisableIndex makes the dictionary querier scan entries instead of
-	// using its kd-tree index (dict.Querier.DisableIndex). Results are
-	// identical; only cost changes.
+	// using its kd-tree or low-dimensional stencil index
+	// (dict.Querier.DisableIndex). Results are identical; only cost
+	// changes.
 	DisableIndex bool
 	// DisableSoA answers batched Phase II residuals point by point (the
 	// pre-SoA scalar loops) instead of through the blocked per-dimension

@@ -27,14 +27,21 @@ type phase2Fixture struct {
 	core     []bool
 }
 
-// newPhase2Fixture replays Phase I serially: cell assignment, pseudo
-// random partitioning, and one shared decoded dictionary.
+// newPhase2Fixture replays Phase I serially on the skewed 2-d mixture.
 func newPhase2Fixture(b *testing.B, n, k int) *phase2Fixture {
 	b.Helper()
 	pts := datagen.Mixture(datagen.MixtureConfig{
 		N: n, Dim: 2, Components: 10, Span: 100, Alpha: 3,
 	}, 1)
-	cfg := Config{Eps: 5.0, MinPts: 20, Rho: 0.01, NumPartitions: k}
+	return newPhase2FixtureFor(b, pts, Config{Eps: 5.0, MinPts: 20, Rho: 0.01, NumPartitions: k})
+}
+
+// newPhase2FixtureFor replays Phase I serially over pts: cell assignment,
+// pseudo random partitioning into cfg.NumPartitions parts, and one shared
+// decoded dictionary.
+func newPhase2FixtureFor(b testing.TB, pts *geom.Points, cfg Config) *phase2Fixture {
+	b.Helper()
+	k := cfg.NumPartitions
 	side := grid.Side(cfg.Eps, pts.Dim)
 	params := dict.Params{Eps: cfg.Eps, Rho: cfg.Rho, Dim: pts.Dim}
 	byKey := make(map[grid.Key][]int)
@@ -104,4 +111,20 @@ func BenchmarkPhaseII(b *testing.B) {
 			}
 		})
 	}
+	// geolife is the candidate-and-edge half the 2-d fixture barely
+	// touches: a 3-d GeoLife-like fixture at eps=4 where the dictionary
+	// stops compressing (about one point per sub-cell), so candidate
+	// collection and neighbor-edge construction dominate over core
+	// counting. It runs the default blocked path on two partitions, the
+	// shape of a two-worker fit.
+	b.Run("geolife", func(b *testing.B) {
+		g := newPhase2FixtureFor(b, datagen.SimGeoLife(200_000, 1).Points,
+			Config{Eps: 4, MinPts: 20, Rho: 0.01, NumPartitions: 2})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.run(false, false)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g.pts.N()), "ns/point")
+	})
 }

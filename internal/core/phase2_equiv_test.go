@@ -2,11 +2,14 @@ package core
 
 // Property-style equivalence of the Phase II hot path: cell-batched region
 // queries (the default) against the per-point oracle (DisableBatching),
-// with and without the kd-tree candidate index, over skewed and uniform
-// data. Batching is a pure evaluation-order change, so Labels and
-// CorePoint must be byte-identical — not merely a Rand index of 1.
+// with and without the candidate index (the kd-tree, or the stencil for
+// d <= 4), over skewed and uniform data from 1 to 13 dimensions. Batching
+// is a pure evaluation-order change, so Labels, CorePoint and every
+// partition's cell subgraph must be byte-identical — not merely a Rand
+// index of 1.
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -32,7 +35,28 @@ func assertSameClustering(t *testing.T, name string, base, got *Result) {
 	}
 }
 
+// subgraphs replays f's Phase II under cfg's ablation flags and returns
+// every partition's cell subgraph in canonical encoding: vertex types and
+// the sorted edge lists.
+func (f *phase2Fixture) subgraphs(cfg Config) [][]byte {
+	for i := range f.core {
+		f.core[i] = false
+	}
+	out := make([][]byte, len(f.parts))
+	for t, st := range f.parts {
+		phase2Task(f.pts, cfg, st, f.d, f.numCells, f.core)
+		out[t] = st.subgraph.Encode()
+	}
+	return out
+}
+
 func TestPhase2BatchingEquivalence(t *testing.T) {
+	far := datagen.Mixture(datagen.MixtureConfig{
+		N: 3000, Dim: 3, Components: 6, Span: 40, Alpha: 2, NoiseFrac: 0.3,
+	}, 24)
+	for i := range far.Coords {
+		far.Coords[i] += 1e6 * 2.5 // about 1e6*eps from the origin
+	}
 	datasets := []struct {
 		name string
 		pts  *geom.Points
@@ -47,6 +71,19 @@ func TestPhase2BatchingEquivalence(t *testing.T) {
 		{"skewed3d", datagen.Mixture(datagen.MixtureConfig{
 			N: 3000, Dim: 3, Components: 6, Span: 40, Alpha: 2,
 		}, 23), 2.5},
+		{"translated3d", far, 2.5},
+		{"skewed1d", datagen.Mixture(datagen.MixtureConfig{
+			N: 3000, Dim: 1, Components: 6, Span: 400, Alpha: 2, NoiseFrac: 0.3,
+		}, 25), 0.1},
+		{"skewed4d", datagen.Mixture(datagen.MixtureConfig{
+			N: 2000, Dim: 4, Components: 6, Span: 30, Alpha: 2, NoiseFrac: 0.3,
+		}, 26), 1.5},
+		{"skewed5d", datagen.Mixture(datagen.MixtureConfig{
+			N: 2000, Dim: 5, Components: 6, Span: 30, Alpha: 2, NoiseFrac: 0.3,
+		}, 27), 2.0},
+		{"skewed13d", datagen.Mixture(datagen.MixtureConfig{
+			N: 800, Dim: 13, Components: 4, Span: 30, Alpha: 2, NoiseFrac: 0.3,
+		}, 28), 4.0},
 	}
 	for _, ds := range datasets {
 		for _, k := range []int{1, 7} {
@@ -55,15 +92,31 @@ func TestPhase2BatchingEquivalence(t *testing.T) {
 					Eps: ds.eps, MinPts: 15, Rho: 0.01,
 					NumPartitions: k, MaxCellsPerSubDict: maxCells,
 				}
-				cfg.DisableBatching = true
-				base := run(t, ds.pts, cfg)
-				for _, disableIndex := range []bool{false, true} {
+				oracle := cfg
+				oracle.DisableBatching = true
+				base := run(t, ds.pts, oracle)
+				if base.NumClusters == 0 {
+					t.Fatalf("%s: no clusters; the dataset exercises nothing", ds.name)
+				}
+				f := newPhase2FixtureFor(t, ds.pts, cfg)
+				baseGraphs := f.subgraphs(oracle)
+				for _, mode := range []struct {
+					name                     string
+					disableIndex, disableSoA bool
+				}{
+					{name: "blocked"},
+					{name: "blocked-noIndex", disableIndex: true},
+					{name: "batched", disableSoA: true},
+				} {
 					got := cfg
-					got.DisableBatching = false
-					got.DisableIndex = disableIndex
-					name := fmt.Sprintf("%s/k=%d/maxCells=%d/noIndex=%v",
-						ds.name, k, maxCells, disableIndex)
+					got.DisableIndex, got.DisableSoA = mode.disableIndex, mode.disableSoA
+					name := fmt.Sprintf("%s/k=%d/maxCells=%d/%s", ds.name, k, maxCells, mode.name)
 					assertSameClustering(t, name, base, run(t, ds.pts, got))
+					for part, g := range f.subgraphs(got) {
+						if !bytes.Equal(g, baseGraphs[part]) {
+							t.Fatalf("%s: partition %d cell subgraph differs from the per-point oracle", name, part)
+						}
+					}
 				}
 			}
 		}

@@ -4,7 +4,8 @@ package dict
 // per point, but every point of a cell shares the same candidate-cell set:
 // any cell contributing a qualifying sub-cell to some point of the query
 // cell must have its box within eps of the query cell's box. QueryCell
-// therefore performs ONE index traversal per owned cell, classifies each
+// therefore gathers candidates ONCE per owned cell — a stencil enumeration
+// for d <= 4 (stencil.go), an index traversal otherwise — classifies each
 // candidate against the whole cell box — fully inside (the box extension
 // of the Example 5.5 far-corner containment test: every sub-cell centre is
 // within eps of every point of the query cell) or boundary — and the
@@ -15,33 +16,28 @@ package dict
 // candidate that fails the inside test falls back to exactly the per-point
 // arithmetic of Querier.Query, so batched and per-point results are
 // identical (the equivalence tests in this package and internal/core pin
-// this). Query remains unchanged as the correctness oracle; core's
-// DisableBatching ablation flag selects it.
+// this). Query remains the correctness oracle; core's DisableBatching
+// ablation flag selects it.
 
 import (
+	"cmp"
+	"math"
+	"slices"
+
 	"rpdbscan/internal/geom"
 	"rpdbscan/internal/grid"
 )
-
-// subChunk is the sub-centre window width of the chunked any-hit scan in
-// AppendNeighborsBlock: wide enough for dense per-dimension inner loops,
-// narrow enough that an early witnessing centre skips most of the work.
-const subChunk = 16
 
 // batchCand is one boundary candidate of a CellBatch: a cell neither
 // provably inside nor provably outside the eps-region of every point of
 // the query cell, so each point runs a residual check against it.
 type batchCand struct {
 	id    int32
-	total int64 // sum of sub-cell counts
-	off   int   // offset of this candidate's cell origin in the arena
-	subs  []SubCell
-	// centers are the candidate's precomputed sub-cell centres (flat,
-	// len(subs)*dim), decoded once at dictionary build time.
-	centers []float64
-	// centersT is the transposed view (dimension-major lanes) and counts
-	// the flat per-sub-cell point counts — the inputs of the blocked SoA
-	// residual kernel.
+	total int64 // the cell's point count: the sum of its sub-cell counts
+	off   int   // offset of this candidate's hull (lo then hi) in the arena
+	// centersT are the candidate's sub-cell centres, decoded once at
+	// dictionary build time, in dimension-major lanes; counts are the
+	// matching per-sub-cell point counts.
 	centersT []float64
 	counts   []int32
 }
@@ -53,22 +49,41 @@ type batchCand struct {
 // between goroutines.
 type CellBatch struct {
 	dim  int
-	side float64
 	eps2 float64
 
 	insideCount int64
 	insideIDs   []int32
 	cands       []batchCand
-	origins     []float64 // flat arena of boundary-candidate cell origins
-	qlo, qhi    []float64 // query cell box, slack-inflated
+	// hulls is the flat arena of boundary-candidate sub-centre hulls:
+	// per candidate, the per-dimension minimum then maximum centre
+	// coordinate.
+	hulls    []float64
+	qlo, qhi []float64 // query cell box, slack-inflated
 
-	// Scratch lanes of the blocked kernels (CountPoints and
-	// AppendNeighborsBlock), reused across calls: per-point near/far box
+	// Scratch of the blocked kernels (CountPoints and
+	// AppendNeighborsBlock), reused across calls: per-point near/far hull
 	// distances against the current candidate, per-sub-cell distance
-	// accumulators, and one gathered point for the scalar tail.
+	// accumulators, one gathered point for the scalar tail, and the
+	// bounding box of the block's points in play (blockBox).
 	near, far []float64
 	acc       []float64
 	pt        []float64
+	plo, phi  []float64
+	// The selected points of the current AppendNeighborsBlock call,
+	// sorted along an axis on first use: for axis a, byAxis[a] holds dim
+	// lanes of nsel coordinates in that order. keys is the sort scratch.
+	sel          []bool
+	nsel         int
+	argLo, argHi []int32 // selected points attaining plo/phi
+	byAxis       [][]float64
+	axisReady    []bool
+	keys         []axisKey
+}
+
+// axisKey is one selected point's coordinate along a sort axis.
+type axisKey struct {
+	x float64
+	i int32
 }
 
 // InsideCount returns the number of points in fully-inside candidates —
@@ -82,19 +97,47 @@ func (b *CellBatch) InsideCells() []int32 { return b.insideIDs }
 // NumBoundary returns the number of boundary candidates (instrumentation).
 func (b *CellBatch) NumBoundary() int { return len(b.cands) }
 
+// hull returns candidate c's sub-centre hull.
+func (b *CellBatch) hull(c *batchCand) (lo, hi []float64) {
+	return b.hulls[c.off : c.off+b.dim], b.hulls[c.off+b.dim : c.off+2*b.dim]
+}
+
+// addCand appends cell id, whose cell box starts at origin, as a boundary
+// candidate.
+func (b *CellBatch) addCand(d *Dictionary, id int32, origin []float64) {
+	off := len(b.hulls)
+	b.hulls = append(b.hulls, origin...)
+	b.hulls = append(b.hulls, origin...)
+	d.hullBox(id, origin, b.hulls[off:off+b.dim], b.hulls[off+b.dim:off+2*b.dim])
+	centersT, counts := d.lanes(id)
+	b.cands = append(b.cands, batchCand{
+		id:       id,
+		total:    int64(d.byID[id].Count),
+		off:      off,
+		centersT: centersT,
+		counts:   counts,
+	})
+}
+
 // QueryCell performs one batched (eps,rho)-region query for the cell key,
-// which must be an owned, non-empty cell of the dictionary's grid. One
-// index traversal per sub-dictionary gathers the candidates shared by all
-// of the cell's points; see the package comment on batch.go for the
-// classification. The returned batch is reused by the next QueryCell call.
+// which must be an owned, non-empty cell of the dictionary's grid. Low-
+// dimensional dictionaries enumerate the candidates from their stencil
+// (stencil.go); otherwise one index traversal per sub-dictionary gathers
+// the candidates shared by all of the cell's points. See the package
+// comment on batch.go for the classification. The returned batch is
+// reused by the next QueryCell call.
 func (q *Querier) QueryCell(key grid.Key) *CellBatch {
 	d := q.d
 	b := &q.batch
-	b.dim, b.side, b.eps2 = d.Dim, d.Side, d.Eps*d.Eps
+	b.dim, b.eps2 = d.Dim, d.Eps*d.Eps
 	b.insideCount = 0
 	b.insideIDs = b.insideIDs[:0]
 	b.cands = b.cands[:0]
-	b.origins = b.origins[:0]
+	b.hulls = b.hulls[:0]
+	if d.sten != nil && !q.DisableIndex {
+		q.queryStencil(key)
+		return b
+	}
 	key.Origin(d.Side, b.qlo)
 	// Slack absorbs the floating-point quantisation error of grid.KeyFor:
 	// a point can land a few ulps outside its cell's exact box, and every
@@ -127,14 +170,15 @@ func (q *Querier) QueryCell(key grid.Key) *CellBatch {
 			continue // Lemma 5.10, hoisted from point to cell
 		}
 		q.cand = q.cand[:0]
+		tree, centers := sd.index(d.Side, d.Dim)
 		if q.DisableIndex {
 			for ei := range sd.Entries {
-				if infl.MinDist2(sd.centers.At(ei)) <= eps*eps {
+				if infl.MinDist2(centers.At(ei)) <= eps*eps {
 					q.cand = append(q.cand, ei)
 				}
 			}
 		} else {
-			q.cand = sd.tree.InBallBox(infl, eps, q.cand)
+			q.cand = tree.InBallBox(infl, eps, q.cand)
 		}
 		// Inset for the inside test: sub-cell centres lie at least
 		// SubSide/2 away from their cell's faces, so bmax may bound the
@@ -183,30 +227,69 @@ func (q *Querier) QueryCell(key grid.Key) *CellBatch {
 			if bmin > b.eps2 {
 				continue // fully outside: no point of the cell can reach it
 			}
-			var sum int64
-			for _, sc := range e.Subs {
-				sum += int64(sc.Count)
-			}
 			if bmax <= b.eps2 {
 				// Fully inside: every sub-cell centre qualifies for every
 				// point of the query cell.
-				b.insideCount += sum
+				b.insideCount += int64(e.Count)
 				b.insideIDs = append(b.insideIDs, e.ID)
 				continue
 			}
-			b.cands = append(b.cands, batchCand{
-				id:       e.ID,
-				total:    sum,
-				off:      len(b.origins),
-				subs:     e.Subs,
-				centers:  sd.SubCenters(ei, d.Dim),
-				centersT: sd.SubCentersT(ei, d.Dim),
-				counts:   sd.SubCounts(ei),
-			})
-			b.origins = append(b.origins, q.origin...)
+			b.addCand(d, e.ID, q.origin)
 		}
 	}
 	return b
+}
+
+// queryStencil fills the batch from the dictionary's stencil: one row-key
+// probe per stencil row, then a scan of the row's cells within r of the
+// query cell's last coordinate, each classified by its offset alone.
+func (q *Querier) queryStencil(key grid.Key) {
+	d, s, b := q.d, q.d.sten, &q.batch
+	dim := d.Dim
+	np := dim - 1
+	for i := range q.kc {
+		q.kc[i] = int64(key.Coord(i))
+	}
+	from := q.kc[np] - s.r // last coordinate of a row's first stencil offset
+	for row := 0; row*s.w < len(s.class); row++ {
+		off := s.offs[row*np : (row+1)*np]
+		rk, ok := s.rowKey(key, off)
+		if !ok {
+			continue
+		}
+		ri, ok := s.rows[rk]
+		if !ok {
+			continue
+		}
+		// Binary search for the row's first cell at or after from.
+		lo, end := s.rowStart[ri], s.rowStart[ri+1]
+		for hi := end; lo < hi; {
+			mid := int32(uint32(lo+hi) >> 1)
+			if int64(s.last[mid]) < from {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		cls := s.class[row*s.w : (row+1)*s.w]
+		for id := lo; id < end; id++ {
+			dl := int64(s.last[id]) - from
+			if dl >= int64(s.w) {
+				break
+			}
+			switch cls[dl] {
+			case stenInside:
+				b.insideCount += int64(d.byID[id].Count)
+				b.insideIDs = append(b.insideIDs, id)
+			case stenBoundary:
+				for i, o := range off {
+					q.origin[i] = float64(q.kc[i]+o) * d.Side
+				}
+				q.origin[np] = float64(s.last[id]) * d.Side
+				b.addCand(d, id, q.origin)
+			}
+		}
+	}
 }
 
 func abs(x float64) float64 {
@@ -233,61 +316,76 @@ func (b *CellBatch) CountPoint(p []float64, stopAt int64) int64 {
 }
 
 // candCount runs the per-point residual check against one boundary
-// candidate — the same arithmetic as the per-candidate body of
-// Querier.Query, reading precomputed sub-cell centres.
+// candidate — the arithmetic of the per-candidate body of Querier.Query,
+// with the candidate's sub-centre hull in place of its cell box, reading
+// precomputed sub-cell centres.
 func (b *CellBatch) candCount(c *batchCand, p []float64) int64 {
-	origin := b.origins[c.off : c.off+b.dim]
-	var near2, far2 float64
-	for i := 0; i < b.dim; i++ {
-		d1 := p[i] - origin[i]
-		d2 := origin[i] + b.side - p[i]
-		if d1 < 0 {
-			near2 += d1 * d1
-			d1 = -d1
-		} else if d2 < 0 {
-			near2 += d2 * d2
-			d2 = -d2
-		}
-		if d2 > d1 {
-			d1 = d2
-		}
-		far2 += d1 * d1
-	}
+	near2, far2 := b.hullDist2(c, p)
 	if near2 > b.eps2 {
-		// The nearest face of the candidate box is beyond eps; every
-		// sub-cell centre (strictly interior) is farther still.
+		// The hull's nearest face is beyond eps, so is every sub-cell
+		// centre inside it.
 		return 0
 	}
 	if far2 <= b.eps2 {
 		return c.total // Example 5.5 containment, per point
 	}
 	var n int64
-	dim := b.dim
-	for j := range c.subs {
-		if geom.Dist2(p, c.centers[j*dim:(j+1)*dim]) <= b.eps2 {
-			n += int64(c.subs[j].Count)
+	for j, cnt := range c.counts {
+		if b.centerDist2(c, p, j) <= b.eps2 {
+			n += int64(cnt)
 		}
 	}
 	return n
 }
 
+// hullDist2 returns the squared distances from p to the nearest and the
+// farthest point of candidate c's hull. Both are floating-point monotone
+// bounds of every sub-centre's Dist2: per dimension, rounding a
+// subtraction preserves order, so |fl(p-x)| lies between the rounded
+// distances to the hull's faces for every centre x inside it, and
+// squaring and the ascending-dimension sum preserve that order too.
+func (b *CellBatch) hullDist2(c *batchCand, p []float64) (near2, far2 float64) {
+	lo, hi := b.hull(c)
+	lo, hi = lo[:len(p)], hi[:len(p)]
+	for i, x := range p {
+		d1, d2 := x-lo[i], hi[i]-x
+		n := max(-d1, -d2, 0)
+		f := max(d1, d2)
+		near2 += n * n
+		far2 += f * f
+	}
+	return near2, far2
+}
+
+// centerDist2 returns the squared distance from p to candidate c's
+// sub-cell centre j with geom.Dist2's arithmetic, read from the
+// transposed lanes.
+func (b *CellBatch) centerDist2(c *batchCand, p []float64, j int) float64 {
+	m := len(c.counts)
+	var s float64
+	for k := 0; k < b.dim; k++ {
+		d := p[k] - c.centersT[k*m+j]
+		s += d * d
+	}
+	return s
+}
+
 // boxLanes fills near[i]/far[i] with the squared distances from block
-// point i to the nearest and farthest faces of candidate c's cell box —
-// the lane-major form of the per-dimension loop in candCount. The
-// accumulation order (ascending dimension, one addition per dimension per
-// point) matches the scalar loop exactly, so the results are bit-identical.
+// point i to the nearest and farthest faces of candidate c's hull — the
+// lane-major form of hullDist2. The accumulation order (ascending
+// dimension, one addition per dimension per point) matches the scalar
+// loop exactly, so the results are bit-identical.
 func (b *CellBatch) boxLanes(c *batchCand, blk *geom.Block, near, far []float64) {
-	origin := b.origins[c.off : c.off+b.dim]
+	lo, hi := b.hull(c)
 	for i := range near {
 		near[i], far[i] = 0, 0
 	}
 	for dd := 0; dd < b.dim; dd++ {
 		lane := blk.Lane(dd)
-		o := origin[dd]
-		hi := o + b.side
+		l, h := lo[dd], hi[dd]
 		for i, p := range lane {
-			d1 := p - o
-			d2 := hi - p
+			d1 := p - l
+			d2 := h - p
 			if d1 < 0 {
 				near[i] += d1 * d1
 				d1 = -d1
@@ -308,23 +406,13 @@ func (b *CellBatch) boxLanes(c *batchCand, blk *geom.Block, near, far []float64)
 // lanes. Dimension-ascending accumulation with one addition per dimension
 // reproduces geom.Dist2 bit-for-bit.
 func (b *CellBatch) subAcc(c *batchCand, blk *geom.Block, i int, acc []float64) {
-	b.subAccRange(c, blk, i, 0, acc)
-}
-
-// subAccRange is subAcc over the sub-centre window [j0, j0+len(acc)):
-// acc[j] receives the squared distance to sub-cell centre j0+j. Windowing
-// changes which distances are computed, never their value, so any-hit scans
-// can chunk the sub-centre axis and stop at the first qualifying chunk.
-func (b *CellBatch) subAccRange(c *batchCand, blk *geom.Block, i, j0 int, acc []float64) {
-	m := len(c.subs)
-	w := len(acc)
+	m := len(acc)
 	for j := range acc {
 		acc[j] = 0
 	}
 	for dd := 0; dd < b.dim; dd++ {
 		p := blk.At(i, dd)
-		lane := c.centersT[dd*m+j0 : dd*m+j0+w : dd*m+j0+w]
-		for j, x := range lane {
+		for j, x := range c.centersT[dd*m : (dd+1)*m] {
 			d := p - x
 			acc[j] += d * d
 		}
@@ -360,9 +448,7 @@ func scratchCap(n, prev int) int {
 func (b *CellBatch) maxSubs() int {
 	m := 0
 	for ci := range b.cands {
-		if len(b.cands[ci].subs) > m {
-			m = len(b.cands[ci].subs)
-		}
+		m = max(m, len(b.cands[ci].counts))
 	}
 	return m
 }
@@ -370,7 +456,7 @@ func (b *CellBatch) maxSubs() int {
 // CountPoints is the blocked form of CountPoint: one call answers the
 // (eps,rho)-region count of every point of blk — the gathered query cell —
 // into counts (len blk.N()). The sweep is candidate-outer, point-inner, so
-// each candidate's origin and centre lanes stay hot while every point's
+// each candidate's hull and centre lanes stay hot while every point's
 // residual is evaluated against them in dense per-dimension loops.
 //
 // Early exit matches CountPoint exactly: a candidate is skipped for point i
@@ -390,6 +476,7 @@ func (b *CellBatch) CountPoints(blk *geom.Block, stopAt int64, counts []int64) {
 	if stopAt > 0 && b.insideCount >= stopAt {
 		return
 	}
+	b.blockBox(blk, nil)
 	for ci := range b.cands {
 		c := &b.cands[ci]
 		// The dense sweep pays O(points x dim) per candidate no matter how
@@ -400,6 +487,28 @@ func (b *CellBatch) CountPoints(blk *geom.Block, stopAt int64, counts []int64) {
 		if stopAt > 0 && remaining*4 <= n {
 			b.countTail(blk, ci, stopAt, counts)
 			return
+		}
+		// The block's bounding box settles a candidate for every point at
+		// once when its hull is beyond eps of all of them, or within eps
+		// of all of them: the per-point near/far tests would each decide
+		// the same way (see boxPair).
+		gap2, span2, _, _ := b.boxPair(c)
+		if gap2 > b.eps2 {
+			continue
+		}
+		if span2 <= b.eps2 {
+			for i := range counts {
+				if stopAt <= 0 || counts[i] < stopAt {
+					counts[i] += c.total
+					if stopAt > 0 && counts[i] >= stopAt {
+						remaining--
+					}
+				}
+			}
+			if stopAt > 0 && remaining == 0 {
+				return
+			}
+			continue
 		}
 		b.boxLanes(c, blk, near, far)
 		for i := 0; i < n; i++ {
@@ -412,7 +521,7 @@ func (b *CellBatch) CountPoints(blk *geom.Block, stopAt int64, counts []int64) {
 			if far[i] <= b.eps2 {
 				counts[i] += c.total
 			} else {
-				sub := acc[:len(c.subs)]
+				sub := acc[:len(c.counts)]
 				b.subAcc(c, blk, i, sub)
 				for j, a := range sub {
 					if a <= b.eps2 {
@@ -436,18 +545,11 @@ func (b *CellBatch) CountPoints(blk *geom.Block, stopAt int64, counts []int64) {
 // stopAt exactly as CountPoint does. The (point, candidate) residual set —
 // and so every count — matches the dense sweep continuing to the end.
 func (b *CellBatch) countTail(blk *geom.Block, ci0 int, stopAt int64, counts []int64) {
-	dim := b.dim
-	if cap(b.pt) < dim {
-		b.pt = make([]float64, dim)
-	}
-	pt := b.pt[:dim]
 	for i := range counts {
 		if counts[i] >= stopAt {
 			continue
 		}
-		for dd := 0; dd < dim; dd++ {
-			pt[dd] = blk.At(i, dd)
-		}
+		pt := b.point(blk, i)
 		for ci := ci0; ci < len(b.cands); ci++ {
 			counts[i] += b.candCount(&b.cands[ci], pt)
 			if counts[i] >= stopAt {
@@ -457,78 +559,286 @@ func (b *CellBatch) countTail(blk *geom.Block, ci0 int, stopAt int64, counts []i
 	}
 }
 
+// point gathers block point i into the batch's point scratch.
+func (b *CellBatch) point(blk *geom.Block, i int) []float64 {
+	if cap(b.pt) < b.dim {
+		b.pt = make([]float64, b.dim)
+	}
+	pt := b.pt[:b.dim]
+	for dd := range pt {
+		pt[dd] = blk.At(i, dd)
+	}
+	return pt
+}
+
 // AppendNeighborsBlock appends to dst the ids of boundary candidates with
 // at least one qualifying sub-cell for at least one selected point of blk
 // (sel[i] marks the points that matter — Phase II passes the cell's core
 // points). Per-point neighbor sets are only ever unioned by the caller, so
-// the blocked kernel answers the union directly: candidate-outer, it stops
-// scanning a candidate at its first witnessing point, which makes the sweep
-// near-O(candidates) in dense cells where the first selected point already
-// qualifies. The box distances are computed per point on demand — a full
-// lane sweep would pay O(points) per candidate and forfeit the early exit —
-// with the exact accumulation order of the scalar AppendNeighbors, so the
-// appended id set equals the union of the per-point calls.
+// the blocked kernel answers the union directly, settling each candidate
+// as cheaply as it can:
+//
+//   - cell pair: against the bounding box of the selected points, a hull
+//     gap beyond eps rules the candidate out and a farthest distance
+//     within eps rules it in, before any per-point work;
+//   - per point: points are visited nearest-first along the axis that
+//     separates the pair most, and the visit stops once that axis alone
+//     puts a point beyond eps; the near/far distances to the hull rule a
+//     point out or in, and the first witnessing point ends the candidate;
+//   - per sub-centre: an any-hit scan starting at the end of the centres
+//     nearer the point along the first axis, the primary sort key of the
+//     sub-cells, stopping once that axis alone is beyond eps.
+//
+// Every test is a floating-point monotone bound of the Dist2 values it
+// stands for (see hullDist2), so the appended id set equals the union of
+// the per-point AppendNeighbors calls.
 func (b *CellBatch) AppendNeighborsBlock(blk *geom.Block, sel []bool, dst []int32) []int32 {
 	n := blk.N()
-	if n == 0 || len(b.cands) == 0 {
+	if n == 0 || len(b.cands) == 0 || !b.blockBox(blk, sel) {
 		return dst
 	}
-	dim := b.dim
-	_, _, acc := b.grow(n, b.maxSubs())
 	for ci := range b.cands {
 		c := &b.cands[ci]
-		origin := b.origins[c.off : c.off+dim]
-		for i := 0; i < n; i++ {
-			if !sel[i] {
-				continue
-			}
-			var near2, far2 float64
-			for dd := 0; dd < dim; dd++ {
-				p := blk.At(i, dd)
-				d1 := p - origin[dd]
-				d2 := origin[dd] + b.side - p
-				if d1 < 0 {
-					near2 += d1 * d1
-					d1 = -d1
-				} else if d2 < 0 {
-					near2 += d2 * d2
-					d2 = -d2
-				}
-				if d2 > d1 {
-					d1 = d2
-				}
-				far2 += d1 * d1
-			}
-			if near2 > b.eps2 {
-				continue
-			}
-			hit := far2 <= b.eps2
-			// Chunked any-hit sub-scan: lane-major distance accumulation
-			// per chunk, early exit at the first qualifying chunk. Most
-			// witnessing sub-cells sit early in the scan, so this usually
-			// touches a fraction of the centres a full sweep would.
-			nsubs := len(c.subs)
-			for j0 := 0; !hit && j0 < nsubs; j0 += subChunk {
-				w := nsubs - j0
-				if w > subChunk {
-					w = subChunk
-				}
-				sub := acc[:w]
-				b.subAccRange(c, blk, i, j0, sub)
-				for _, a := range sub {
-					if a <= b.eps2 {
-						hit = true
-						break
-					}
-				}
-			}
-			if hit {
-				dst = append(dst, c.id)
-				break
-			}
+		gap2, span2, axis, above := b.boxPair(c)
+		if gap2 > b.eps2 {
+			continue
+		}
+		if span2 <= b.eps2 {
+			dst = append(dst, c.id) // every cell has >= 1 sub-cell
+			continue
+		}
+		if b.anyPointWithin(c, blk, axis, above) {
+			dst = append(dst, c.id)
 		}
 	}
 	return dst
+}
+
+// boxPair compares candidate c's hull with the box plo/phi of a set of
+// points. It returns the squared gap and the squared farthest distance
+// between the two, and the axis along which the hull lies farthest
+// outside the box, with whether it lies above. Per axis, up and down are
+// the hull's separation above and below the box, and their negations the
+// farthest extents, at least one of them non-negative. For any point p in
+// the box and centre x in the hull, fl(p-x) lies between -up and -down by
+// the monotonicity of rounded subtraction, so gap2 and span2 bound every
+// Dist2 between them.
+func (b *CellBatch) boxPair(c *batchCand) (gap2, span2 float64, axis int, above bool) {
+	lo, hi := b.hull(c)
+	plo, phi := b.plo[:len(lo)], b.phi[:len(lo)]
+	hi = hi[:len(lo)]
+	sep := math.Inf(-1)
+	for k := range lo {
+		up, down := lo[k]-phi[k], plo[k]-hi[k]
+		g := max(up, down, 0)
+		gap2 += g * g
+		m := max(-up, -down)
+		span2 += m * m
+		if up > sep {
+			axis, sep, above = k, up, true
+		}
+		if down > sep {
+			axis, sep, above = k, down, false
+		}
+	}
+	return gap2, span2, axis, above
+}
+
+// visitChunk is how many axis-sorted points anyPointWithin tests per
+// dense lane sweep.
+const visitChunk = 8
+
+// anyPointWithin reports whether some selected point of blk has a sub-cell
+// centre of c within eps. It first tries the selected point nearest the
+// hull along axis, which in dense cells almost always witnesses, without
+// sorting anything. Then it visits the selected points by their coordinate
+// along axis, nearest to the hull first (descending when the hull lies
+// above them), a chunk of visitChunk at a time: one lane sweep gives the
+// chunk's near/far hull distances (the hullDist2 arithmetic), and the
+// visit stops at the first chunk whose nearest point is beyond eps along
+// axis alone — the points after it are farther still, and a single Dist2
+// term beyond eps^2 bounds the whole sum.
+func (b *CellBatch) anyPointWithin(c *batchCand, blk *geom.Block, axis int, above bool) bool {
+	lo, hi := b.hull(c)
+	first := b.argLo[axis]
+	if above {
+		first = b.argHi[axis]
+	}
+	if b.pointWithin(c, b.point(blk, int(first))) {
+		return true
+	}
+	lanes := b.sortedAxis(blk, axis)
+	ns := b.nsel
+	pt := b.pt[:b.dim]
+	var near, far [visitChunk]float64
+	for t0 := 0; t0 < ns; t0 += visitChunk {
+		// The chunk holds sorted positions [j0, j0+w); its nearest point
+		// is the last one when the hull lies above.
+		w := min(visitChunk, ns-t0)
+		j0, gap := t0, lanes[axis*ns+t0]-hi[axis]
+		if above {
+			j0 = ns - t0 - w
+			gap = lo[axis] - lanes[axis*ns+j0+w-1]
+		}
+		if gap > 0 && gap*gap > b.eps2 {
+			return false
+		}
+		for q := 0; q < w; q++ {
+			near[q], far[q] = 0, 0
+		}
+		for k := range pt {
+			l, h := lo[k], hi[k]
+			for q, x := range lanes[k*ns+j0 : k*ns+j0+w] {
+				d1, d2 := x-l, h-x
+				if d1 < 0 {
+					near[q] += d1 * d1
+				} else if d2 < 0 {
+					near[q] += d2 * d2
+				}
+				f := max(d1, d2)
+				far[q] += f * f
+			}
+		}
+		for v := 0; v < w; v++ {
+			q := v
+			if above {
+				q = w - 1 - v
+			}
+			if near[q] > b.eps2 {
+				continue
+			}
+			if far[q] <= b.eps2 {
+				return true
+			}
+			for k := range pt {
+				pt[k] = lanes[k*ns+j0+q]
+			}
+			if b.anyWithin(c, pt) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// pointWithin reports whether a sub-cell centre of c is within eps of p.
+func (b *CellBatch) pointWithin(c *batchCand, p []float64) bool {
+	near2, far2 := b.hullDist2(c, p)
+	if near2 > b.eps2 {
+		return false
+	}
+	return far2 <= b.eps2 || b.anyWithin(c, p)
+}
+
+// blockBox sets plo/phi to the bounding box of the points of blk that sel
+// selects (every point when sel is nil), argLo/argHi to the points
+// attaining it and nsel to their number, and reports whether any point is
+// selected.
+func (b *CellBatch) blockBox(blk *geom.Block, sel []bool) bool {
+	dim, n := b.dim, blk.N()
+	if len(b.axisReady) != dim {
+		b.plo, b.phi, b.pt = make([]float64, dim), make([]float64, dim), make([]float64, dim)
+		b.argLo, b.argHi = make([]int32, dim), make([]int32, dim)
+		b.axisReady = make([]bool, dim)
+		b.byAxis = make([][]float64, dim)
+	}
+	clear(b.axisReady)
+	b.sel, b.nsel = sel, n
+	first := 0
+	if sel != nil {
+		b.nsel = 0
+		for _, s := range sel[:n] {
+			if s {
+				b.nsel++
+			}
+		}
+		first = slices.Index(sel[:n], true)
+	}
+	if b.nsel == 0 {
+		return false
+	}
+	for dd := 0; dd < dim; dd++ {
+		lane := blk.Lane(dd)
+		lo, hi := lane[first], lane[first]
+		b.argLo[dd], b.argHi[dd] = int32(first), int32(first)
+		for i := first + 1; i < n; i++ {
+			if sel != nil && !sel[i] {
+				continue
+			}
+			if x := lane[i]; x < lo {
+				lo, b.argLo[dd] = x, int32(i)
+			} else if x > hi {
+				hi, b.argHi[dd] = x, int32(i)
+			}
+		}
+		b.plo[dd], b.phi[dd] = lo, hi
+	}
+	return true
+}
+
+// sortedAxis returns the selected points of blk as dim lanes of nsel
+// coordinates, ordered by their coordinate along axis; the first request
+// per block sorts and gathers them.
+func (b *CellBatch) sortedAxis(blk *geom.Block, axis int) []float64 {
+	ns := b.nsel
+	if b.axisReady[axis] {
+		return b.byAxis[axis]
+	}
+	if cap(b.keys) < ns {
+		b.keys = make([]axisKey, scratchCap(ns, cap(b.keys)))
+	}
+	keys := b.keys[:0]
+	for i, x := range blk.Lane(axis) {
+		if b.sel[i] {
+			keys = append(keys, axisKey{x: x, i: int32(i)})
+		}
+	}
+	slices.SortFunc(keys, func(a, c axisKey) int { return cmp.Compare(a.x, c.x) })
+	lanes := b.byAxis[axis]
+	if cap(lanes) < b.dim*ns {
+		lanes = make([]float64, scratchCap(b.dim*ns, cap(lanes)))
+	}
+	lanes = lanes[:b.dim*ns]
+	for k := 0; k < b.dim; k++ {
+		src, dst := blk.Lane(k), lanes[k*ns:(k+1)*ns]
+		for t, key := range keys {
+			dst[t] = src[key.i]
+		}
+	}
+	b.byAxis[axis] = lanes
+	b.axisReady[axis] = true
+	return lanes
+}
+
+// anyWithin reports whether any sub-cell centre of c is within eps of p.
+// Centres are sorted by their first coordinate, so the scan walks them
+// from the end nearer p and stops as soon as a centre is beyond eps along
+// that axis alone: every later centre is farther along it still, and the
+// first term of Dist2 already exceeds eps^2.
+func (b *CellBatch) anyWithin(c *batchCand, p []float64) bool {
+	m := len(c.counts)
+	lane0 := c.centersT[:m]
+	p0 := p[0]
+	if p0-lane0[0] <= lane0[m-1]-p0 {
+		for j, x := range lane0 {
+			if d := x - p0; d > 0 && d*d > b.eps2 {
+				return false
+			}
+			if b.centerDist2(c, p, j) <= b.eps2 {
+				return true
+			}
+		}
+		return false
+	}
+	for j := m - 1; j >= 0; j-- {
+		if d := p0 - lane0[j]; d > 0 && d*d > b.eps2 {
+			return false
+		}
+		if b.centerDist2(c, p, j) <= b.eps2 {
+			return true
+		}
+	}
+	return false
 }
 
 // AppendNeighbors appends to dst the ids of boundary candidates with at
@@ -536,38 +846,9 @@ func (b *CellBatch) AppendNeighborsBlock(blk *geom.Block, sel []bool, dst []int3
 // cells NC of Algorithm 3 line 13. InsideCells lists the rest, shared by
 // every point of the cell, so callers union the two.
 func (b *CellBatch) AppendNeighbors(p []float64, dst []int32) []int32 {
-	dim := b.dim
 	for ci := range b.cands {
-		c := &b.cands[ci]
-		origin := b.origins[c.off : c.off+dim]
-		var near2, far2 float64
-		for i := 0; i < dim; i++ {
-			d1 := p[i] - origin[i]
-			d2 := origin[i] + b.side - p[i]
-			if d1 < 0 {
-				near2 += d1 * d1
-				d1 = -d1
-			} else if d2 < 0 {
-				near2 += d2 * d2
-				d2 = -d2
-			}
-			if d2 > d1 {
-				d1 = d2
-			}
-			far2 += d1 * d1
-		}
-		if near2 > b.eps2 {
-			continue
-		}
-		if far2 <= b.eps2 {
-			dst = append(dst, c.id) // every cell has >= 1 sub-cell
-			continue
-		}
-		for j := range c.subs {
-			if geom.Dist2(p, c.centers[j*dim:(j+1)*dim]) <= b.eps2 {
-				dst = append(dst, c.id)
-				break
-			}
+		if c := &b.cands[ci]; b.pointWithin(c, p) {
+			dst = append(dst, c.id)
 		}
 	}
 	return dst

@@ -1,7 +1,10 @@
 package dict
 
 import (
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -135,6 +138,13 @@ func TestQueryCellMatchesQuery(t *testing.T) {
 	} {
 		uniform := randomPoints(r, 500, tc.dim, 8)
 		checkBatchMatchesQuery(t, uniform, 1.2, tc.rho, tc.maxCells, false)
+		// Coordinates on a coarse lattice tie along every axis, so the
+		// axis-sorted point order of AppendNeighborsBlock has equal keys.
+		lattice := randomPoints(r, 500, tc.dim, 8)
+		for i, x := range lattice.Coords {
+			lattice.Coords[i] = math.Round(x*4) / 4
+		}
+		checkBatchMatchesQuery(t, lattice, 1.2, tc.rho, tc.maxCells, false)
 		skewed := skewedPoints(r, 500, tc.dim, 8)
 		checkBatchMatchesQuery(t, skewed, 1.2, tc.rho, tc.maxCells, false)
 		checkBatchMatchesQuery(t, skewed, 1.2, tc.rho, tc.maxCells, true)
@@ -180,14 +190,21 @@ func TestQueryCellInsideClassification(t *testing.T) {
 }
 
 // FuzzQueryCellEquivalence fuzzes the batched path against the per-point
-// oracle over generated data. Seeds include a defragmentation bound of 2,
-// which makes every query cell straddle sub-dictionary MBRs.
+// oracle over generated data: per-point counts, and per cell the neighbor
+// cells of its points — AppendNeighborsBlock over every point unioned with
+// InsideCells — against the union of the oracle's Query cells. Dimensions
+// 1-4 take the stencil path, 5 the kd-tree; every fourth seed translates
+// the data by about 1e6*eps, far from the origin. Seeds include a
+// defragmentation bound of 2, which makes every query cell straddle
+// sub-dictionary MBRs.
 func FuzzQueryCellEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(0), false)
 	f.Add(int64(7), uint8(3), uint8(2), false) // straddling sub-dict MBRs
 	f.Add(int64(9), uint8(2), uint8(8), true)
+	f.Add(int64(3), uint8(1), uint8(0), true)  // translated, 2-d
+	f.Add(int64(11), uint8(4), uint8(0), true) // translated, 5-d
 	f.Fuzz(func(t *testing.T, seed int64, dim uint8, maxCells uint8, skew bool) {
-		d := 1 + int(dim)%4
+		d := 1 + int(dim)%5
 		r := rand.New(rand.NewSource(seed))
 		var pts *geom.Points
 		if skew {
@@ -196,22 +213,59 @@ func FuzzQueryCellEquivalence(f *testing.F) {
 			pts = randomPoints(r, 300, d, 6)
 		}
 		eps := 0.8 + float64((seed%5+5)%5)/5
+		if uint64(seed)%4 == 3 {
+			translate(pts, 1e6*eps)
+		}
 		rho := []float64{0.25, 0.1, 0.05}[int(uint64(seed)%3)]
 		mc := int(maxCells)
 		dict := buildDict(pts, eps, rho, mc)
 		oracle := NewQuerier(dict)
 		batched := NewQuerier(dict)
 		g := grid.Build(pts, eps)
+		var blk geom.Block
 		for _, cell := range g.Cells {
 			b := batched.QueryCell(cell.Key)
+			want := map[int32]bool{}
 			for _, pi := range cell.Points {
 				p := pts.At(pi)
-				want, _ := oracle.Query(p, false, nil)
-				if got := b.CountPoint(p, 0); got != want {
+				count, cells := oracle.Query(p, true, nil)
+				if got := b.CountPoint(p, 0); got != count {
 					t.Fatalf("seed=%d dim=%d maxCells=%d: CountPoint=%d, Query=%d",
-						seed, d, mc, got, want)
+						seed, d, mc, got, count)
 				}
+				for _, id := range cells {
+					want[id] = true
+				}
+			}
+			blk.Gather(pts, cell.Points)
+			sel := make([]bool, len(cell.Points))
+			for i := range sel {
+				sel[i] = true
+			}
+			got := map[int32]bool{}
+			for _, id := range b.AppendNeighborsBlock(&blk, sel, append([]int32(nil), b.InsideCells()...)) {
+				got[id] = true
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("seed=%d dim=%d maxCells=%d: neighbor cells %v, oracle %v",
+					seed, d, mc, sortedIDs(got), sortedIDs(want))
 			}
 		}
 	})
+}
+
+// translate shifts every coordinate of pts by off.
+func translate(pts *geom.Points, off float64) {
+	for i := range pts.Coords {
+		pts.Coords[i] += off
+	}
+}
+
+func sortedIDs(set map[int32]bool) []int32 {
+	ids := make([]int32, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }

@@ -12,6 +12,8 @@
 package dict
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -45,42 +47,28 @@ type SubDict struct {
 	// (Definition 5.9).
 	MBR geom.Box
 
-	tree    *kdtree.Tree // over cell centres; payload = entry index
-	centers *geom.Points
-
-	// subCenters stores every entry's sub-cell centres decoded once at
-	// build time, flat and entry-major: entry ei's centres occupy
-	// subCenters[subOff[ei]*dim : subOff[ei+1]*dim]. Region queries read
-	// these instead of re-deriving grid.SubCenter per point x per
-	// sub-cell, which dominated the Phase II hot path.
-	subCenters []float64
-	subOff     []int32
-	// subCentersT is the same data transposed within each entry
-	// (dimension-major): coordinate d of entry ei's m centres is the dense
-	// lane subCentersT[subOff[ei]*dim + d*m : subOff[ei]*dim + (d+1)*m].
-	// The blocked residual kernels accumulate squared distances one
-	// dimension lane at a time over it. subCounts holds the matching
-	// sub-cell point counts as one flat lane per entry.
-	subCentersT []float64
-	subCounts   []int32
+	// The kd-tree over cell centres (payload = entry index) is built on
+	// first use: low-dimensional dictionaries answer QueryCell from their
+	// stencil and need it only for the per-point oracle and the
+	// DisableIndex ablation.
+	treeOnce sync.Once
+	tree     *kdtree.Tree
+	centers  *geom.Points
 }
 
-// SubCenters returns the flat precomputed sub-cell centres of entry ei,
-// len(Entries[ei].Subs)*dim values, centre j at [j*dim:(j+1)*dim].
-func (sd *SubDict) SubCenters(ei int, dim int) []float64 {
-	return sd.subCenters[int(sd.subOff[ei])*dim : int(sd.subOff[ei+1])*dim]
-}
-
-// SubCentersT returns entry ei's sub-cell centres transposed: with m
-// centres, coordinate d is the dense lane [d*m : (d+1)*m].
-func (sd *SubDict) SubCentersT(ei int, dim int) []float64 {
-	return sd.subCentersT[int(sd.subOff[ei])*dim : int(sd.subOff[ei+1])*dim]
-}
-
-// SubCounts returns entry ei's sub-cell point counts as one flat lane,
-// parallel to the centre order of SubCenters/SubCentersT.
-func (sd *SubDict) SubCounts(ei int) []int32 {
-	return sd.subCounts[sd.subOff[ei]:sd.subOff[ei+1]]
+// index returns the sub-dictionary's cell-centre kd-tree and the centres
+// it indexes, building both on first use. Safe for concurrent use.
+func (sd *SubDict) index(side float64, dim int) (*kdtree.Tree, *geom.Points) {
+	sd.treeOnce.Do(func() {
+		sd.centers = geom.NewPoints(dim, len(sd.Entries))
+		center := make([]float64, dim)
+		for i := range sd.Entries {
+			sd.Entries[i].Key.Center(side, center)
+			sd.centers.Append(center)
+		}
+		sd.tree = kdtree.Build(sd.centers, nil)
+	})
+	return sd.tree, sd.centers
 }
 
 // Dictionary is the complete two-level cell dictionary.
@@ -102,6 +90,24 @@ type Dictionary struct {
 	// NumCells and NumSubCells are totals across all sub-dictionaries.
 	NumCells    int
 	NumSubCells int
+
+	// Per-cell query data in id order, decoded once at build time. Cell
+	// id's m sub-cells occupy [subOff[id], subOff[id+1]) of subCounts;
+	// subCentersT holds their centres dimension-major (coordinate k of
+	// the m centres is the dense lane [subOff[id]*dim + k*m, +m)), the
+	// layout the blocked residual kernels accumulate over. Sub-cells keep
+	// the ascending SubIdx order of the entry, which sorts the centres by
+	// their first coordinate.
+	subOff      []int32
+	subCentersT []float64
+	subCounts   []int32
+	// hull is every cell's sub-centre hull as sub-cell indices: 2*Dim
+	// values per cell id, the per-dimension minimum then maximum. It is
+	// nil when Shift > 16, and the cell box stands in for the hull.
+	hull []uint16
+	// sten enumerates neighbor cells of low-dimensional dictionaries; nil
+	// selects the kd-tree candidate path.
+	sten *stencil
 
 	// qpool recycles Queriers (AcquireQuerier/ReleaseQuerier) so short
 	// tasks that each need a querier don't regrow its scratch from zero.
@@ -145,14 +151,18 @@ func BuildEntry(cell *grid.Cell, pts *geom.Points, p Params) CellEntry {
 		e.Subs = append(e.Subs, SubCell{Idx: idx, Count: c})
 	}
 	// Deterministic order independent of map iteration.
-	sort.Slice(e.Subs, func(i, j int) bool {
-		a, b := e.Subs[i].Idx, e.Subs[j].Idx
-		if a.Hi != b.Hi {
-			return a.Hi < b.Hi
-		}
-		return a.Lo < b.Lo
-	})
+	slices.SortFunc(e.Subs, cmpSub)
 	return e
+}
+
+// cmpSub orders sub-cells by ascending packed index. The first dimension
+// occupies the index's highest bits, so this order also sorts the
+// sub-cell centres by their first coordinate.
+func cmpSub(a, b SubCell) int {
+	if c := cmp.Compare(a.Idx.Hi, b.Idx.Hi); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Idx.Lo, b.Idx.Lo)
 }
 
 // Build assembles a dictionary from cell entries (typically the union of all
@@ -177,18 +187,108 @@ func Build(entries []CellEntry, p Params, maxCellsPerSub int) *Dictionary {
 		d.Keys[i] = entries[i].Key
 		d.NumCells++
 		d.NumSubCells += len(entries[i].Subs)
+		// BuildEntry and StreamBuilder emit sorted sub-cells; decoded
+		// entries are normalised here, because the neighbor scan's early
+		// stop relies on the order.
+		if !slices.IsSortedFunc(entries[i].Subs, cmpSub) {
+			slices.SortFunc(entries[i].Subs, cmpSub)
+		}
 	}
+	d.buildLanes(entries)
+	d.sten = newStencil(d)
 	groups := defragment(entries, p, maxCellsPerSub)
 	d.Subs = make([]*SubDict, 0, len(groups))
 	d.byID = make([]*CellEntry, len(entries))
 	for _, g := range groups {
 		sd := newSubDict(g, d)
+		if d.sten == nil {
+			sd.index(d.Side, d.Dim) // every QueryCell needs the tree
+		}
 		d.Subs = append(d.Subs, sd)
 		for i := range sd.Entries {
 			d.byID[sd.Entries[i].ID] = &sd.Entries[i]
 		}
 	}
 	return d
+}
+
+// maxHullShift is the largest sub-cell shift whose indices fit the
+// uint16 hull encoding.
+const maxHullShift = 16
+
+// buildLanes decodes, in id order, every cell's sub-cell centres into the
+// transposed lanes, flattens the sub-cell counts, and records each cell's
+// sub-centre hull. entries must be sorted by id.
+func (d *Dictionary) buildLanes(entries []CellEntry) {
+	dim := d.Dim
+	d.subOff = make([]int32, len(entries)+1)
+	d.subCentersT = make([]float64, d.NumSubCells*dim)
+	d.subCounts = make([]int32, 0, d.NumSubCells)
+	if d.Shift <= maxHullShift {
+		d.hull = make([]uint16, 2*dim*len(entries))
+	}
+	origin := make([]float64, dim)
+	center := make([]float64, dim)
+	idx := make([]int64, dim)
+	var off int32
+	for id := range entries {
+		e := &entries[id]
+		d.subOff[id] = off
+		m := len(e.Subs)
+		base := int(off) * dim
+		e.Key.Origin(d.Side, origin)
+		var h []uint16
+		if d.hull != nil {
+			h = d.hull[2*dim*id : 2*dim*(id+1)]
+		}
+		for j, sc := range e.Subs {
+			grid.SubCenter(sc.Idx, origin, d.SubSide, d.Shift, center)
+			for k, x := range center {
+				d.subCentersT[base+k*m+j] = x
+			}
+			d.subCounts = append(d.subCounts, sc.Count)
+			if h == nil {
+				continue
+			}
+			grid.SubCoord(sc.Idx, d.Shift, dim, idx)
+			for k, v := range idx {
+				if j == 0 || uint16(v) < h[k] {
+					h[k] = uint16(v)
+				}
+				if j == 0 || uint16(v) > h[dim+k] {
+					h[dim+k] = uint16(v)
+				}
+			}
+		}
+		off += int32(m)
+	}
+	d.subOff[len(entries)] = off
+}
+
+// hullBox writes cell id's sub-centre hull, as coordinates, into lo and
+// hi: the same grid.SubCenter arithmetic on the extreme indices, so every
+// bound is bit-identical to the extreme centre coordinate it stands for.
+// Without a hull encoding it writes the cell box.
+func (d *Dictionary) hullBox(id int32, origin, lo, hi []float64) {
+	dim := d.Dim
+	if d.hull == nil {
+		for k, o := range origin {
+			lo[k], hi[k] = o, o+d.Side
+		}
+		return
+	}
+	h := d.hull[2*dim*int(id) : 2*dim*(int(id)+1)]
+	for k, o := range origin {
+		lo[k] = o + (float64(h[k])+0.5)*d.SubSide
+		hi[k] = o + (float64(h[dim+k])+0.5)*d.SubSide
+	}
+}
+
+// lanes returns cell id's transposed sub-cell centres and its sub-cell
+// counts.
+func (d *Dictionary) lanes(id int32) (centersT []float64, counts []int32) {
+	lo, hi := d.subOff[id], d.subOff[id+1]
+	return d.subCentersT[int(lo)*d.Dim : int(hi)*d.Dim], d.subCounts[lo:hi]
 }
 
 // defragment recursively applies binary space partitioning to the cells:
@@ -240,56 +340,18 @@ func defragment(entries []CellEntry, p Params, maxCells int) [][]CellEntry {
 
 func newSubDict(entries []CellEntry, d *Dictionary) *SubDict {
 	sd := &SubDict{Entries: entries, MBR: geom.NewBox(d.Dim)}
-	sd.centers = geom.NewPoints(d.Dim, len(entries))
-	numSubs := 0
-	for i := range entries {
-		numSubs += len(entries[i].Subs)
-	}
-	sd.subOff = make([]int32, len(entries)+1)
-	sd.subCenters = make([]float64, 0, numSubs*d.Dim)
-	origin := make([]float64, d.Dim)
-	center := make([]float64, d.Dim)
-	var off int32
-	for ei, e := range entries {
-		e.Key.Origin(d.Side, origin)
-		e.Key.Center(d.Side, center)
-		sd.centers.Append(center)
-		// Decode every sub-cell centre once, here, so region queries read
-		// a flat array instead of unpacking grid.SubCenter per point x
-		// per sub-cell.
-		sd.subOff[ei] = off
-		for _, sc := range e.Subs {
-			grid.SubCenter(sc.Idx, origin, d.SubSide, d.Shift, center)
-			sd.subCenters = append(sd.subCenters, center...)
-		}
-		off += int32(len(e.Subs))
+	corner := make([]float64, d.Dim)
+	for _, e := range entries {
 		// Bound the MBR by the whole cell box rather than the exact
 		// sub-cell centres: a (slightly) larger MBR only makes the
 		// Lemma 5.10 skip test conservative, never wrong.
-		sd.MBR.Extend(origin)
-		for i := range center {
-			center[i] = origin[i] + d.Side
+		e.Key.Origin(d.Side, corner)
+		sd.MBR.Extend(corner)
+		for i := range corner {
+			corner[i] += d.Side
 		}
-		sd.MBR.Extend(center)
+		sd.MBR.Extend(corner)
 	}
-	sd.subOff[len(entries)] = off
-	// Transpose each entry's centres into dimension-major lanes and flatten
-	// the sub-cell counts, once, for the blocked residual kernels.
-	sd.subCentersT = make([]float64, len(sd.subCenters))
-	sd.subCounts = make([]int32, 0, numSubs)
-	for ei := range entries {
-		m := int(sd.subOff[ei+1] - sd.subOff[ei])
-		base := int(sd.subOff[ei]) * d.Dim
-		for j := 0; j < m; j++ {
-			for dd := 0; dd < d.Dim; dd++ {
-				sd.subCentersT[base+dd*m+j] = sd.subCenters[base+j*d.Dim+dd]
-			}
-		}
-		for _, sc := range entries[ei].Subs {
-			sd.subCounts = append(sd.subCounts, sc.Count)
-		}
-	}
-	sd.tree = kdtree.Build(sd.centers, nil)
 	return sd
 }
 
@@ -340,8 +402,8 @@ type Querier struct {
 	SkippedSubDicts int64
 
 	// DisableIndex makes candidate-cell lookup scan every entry instead
-	// of using the kd-tree — the ablation of Lemma 5.6's index. Results
-	// are identical; only cost changes.
+	// of using the kd-tree or the low-dimensional stencil — the ablation
+	// of Lemma 5.6's index. Results are identical; only cost changes.
 	DisableIndex bool
 	// DisableMBRSkip turns off the sub-dictionary pruning of Lemma 5.10
 	// — the ablation of dictionary defragmentation's benefit. Results
@@ -356,6 +418,7 @@ type Querier struct {
 	// batch and the infl buffers back QueryCell.
 	batch          CellBatch
 	inflLo, inflHi []float64
+	kc             []int64 // query cell coordinates of the stencil path
 }
 
 // AcquireQuerier returns a querier for d from its pool, with flags and
@@ -386,6 +449,7 @@ func NewQuerier(d *Dictionary) *Querier {
 		center:   make([]float64, d.Dim),
 		inflLo:   make([]float64, d.Dim),
 		inflHi:   make([]float64, d.Dim),
+		kc:       make([]int64, d.Dim),
 	}
 	q.batch.qlo = make([]float64, d.Dim)
 	q.batch.qhi = make([]float64, d.Dim)
@@ -414,14 +478,15 @@ func (q *Querier) Query(p []float64, wantCells bool, cells []int32) (count int64
 			continue // Lemma 5.10: no (eps,rho)-neighbor in this sub-dictionary
 		}
 		q.cand = q.cand[:0]
+		tree, centers := sd.index(d.Side, d.Dim)
 		if q.DisableIndex {
 			for ei := range sd.Entries {
-				if geom.Dist2(p, sd.centers.At(ei)) <= candR*candR {
+				if geom.Dist2(p, centers.At(ei)) <= candR*candR {
 					q.cand = append(q.cand, ei)
 				}
 			}
 		} else {
-			q.cand = sd.tree.InBall(p, candR, q.cand)
+			q.cand = tree.InBall(p, candR, q.cand)
 		}
 		for _, ei := range q.cand {
 			e := &sd.Entries[ei]
@@ -446,9 +511,7 @@ func (q *Querier) Query(p []float64, wantCells bool, cells []int32) (count int64
 			}
 			matched := false
 			if far2 <= eps2 {
-				for _, sc := range e.Subs {
-					count += int64(sc.Count)
-				}
+				count += int64(e.Count)
 				matched = true
 			} else {
 				for _, sc := range e.Subs {

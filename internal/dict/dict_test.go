@@ -355,6 +355,51 @@ func TestDecodeChecksumGate(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsBrokenInvariants pins the entry checks behind the
+// checksum gate: a resealed payload whose cells break an invariant is
+// rejected, naming the cell.
+func TestDecodeRejectsBrokenInvariants(t *testing.T) {
+	for i, bad := range invalidEntries() {
+		buf := EncodeEntries(bad, Params{Eps: 1, Rho: 0.05, Dim: 3})
+		if _, err := Decode(buf, 0); err == nil || !strings.Contains(err.Error(), "cell 0") {
+			t.Errorf("case %d: Decode = %v, want an error naming cell 0", i, err)
+		}
+	}
+}
+
+// TestDecodeEveryByteFlip is the every-byte-flip property of the wire
+// format: flipping any single byte is caught by the checksum; resealed, the
+// flip either fails a validator or yields a dictionary whose entries still
+// satisfy every invariant Decode promises and whose re-encoding decodes to
+// the same totals.
+func TestDecodeEveryByteFlip(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	pts := randomPoints(r, 40, 3, 4)
+	buf := buildDict(pts, 1.0, 0.1, 0).Encode()
+	for pos := range buf {
+		mut := append([]byte(nil), buf...)
+		mut[pos] ^= 0xff
+		if _, err := Decode(mut, 0); err == nil {
+			t.Fatalf("flip at byte %d accepted without reseal", pos)
+		}
+		d, err := Decode(Reseal(mut), 0)
+		if err != nil {
+			continue
+		}
+		if err := checkEntryInvariants(d); err != nil {
+			t.Fatalf("flip at byte %d: %v", pos, err)
+		}
+		again, err := Decode(d.Encode(), 0)
+		if err != nil {
+			t.Fatalf("flip at byte %d: re-encode rejected: %v", pos, err)
+		}
+		if again.NumCells != d.NumCells || again.NumSubCells != d.NumSubCells ||
+			again.TotalPoints() != d.TotalPoints() {
+			t.Fatalf("flip at byte %d: round trip changed totals", pos)
+		}
+	}
+}
+
 func TestCellIDsAreDenseAndSorted(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	pts := randomPoints(r, 500, 2, 20)

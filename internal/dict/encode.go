@@ -155,7 +155,11 @@ func Decode(buf []byte, maxCellsPerSub int) (*Dictionary, error) {
 // the inverse of EncodeEntries. The multi-process driver uses it to
 // concatenate per-partition dictionary shards returned by remote workers
 // before one global EncodeEntries broadcast, exactly as the in-process
-// path concatenates the per-task entry slices.
+// path concatenates the per-task entry slices. Besides the framing it
+// checks the entry invariants the query paths rely on: every cell has at
+// least one sub-cell, every sub-cell a positive count and an index within
+// its dim*shift bits, and a cell's Count equals the sum of its sub-cell
+// counts.
 func DecodeEntries(buf []byte) ([]CellEntry, Params, error) {
 	if len(buf) < checksumStart+2+2+8+8+4 || string(buf[:4]) != magic {
 		return nil, Params{}, fmt.Errorf("dict: bad header")
@@ -184,6 +188,15 @@ func DecodeEntries(buf []byte) ([]CellEntry, Params, error) {
 		return nil, Params{}, fmt.Errorf("dict: implausible parameters eps=%g rho=%g", eps, rho)
 	}
 	sb := subBytes(dim, shift)
+	// A packed position uses the low dim*shift bits; anything above them
+	// would reorder the sub-cells without moving a centre.
+	bitsUsed := dim * int(shift)
+	hiMask, loMask := ^uint64(0), ^uint64(0)
+	if bitsUsed < 64 {
+		hiMask, loMask = 0, uint64(1)<<bitsUsed-1
+	} else if bitsUsed < 128 {
+		hiMask = uint64(1)<<(bitsUsed-64) - 1
+	}
 	// Bound allocations by the actual payload size, not the header's
 	// claimed cell count, so corrupt input cannot balloon memory.
 	remaining := len(buf) - off
@@ -206,16 +219,32 @@ func DecodeEntries(buf []byte) ([]CellEntry, Params, error) {
 		off += 4
 		nsubs := int(binary.BigEndian.Uint32(buf[off:]))
 		off += 4
+		if nsubs == 0 {
+			return nil, Params{}, fmt.Errorf("dict: cell %d has no sub-cells", c)
+		}
 		start := len(arena)
+		var sum int64
 		for s := 0; s < nsubs; s++ {
 			if off+sb+4 > len(buf) {
 				return nil, Params{}, fmt.Errorf("dict: truncated sub-cell in cell %d", c)
 			}
 			idx := unpack(buf[off : off+sb])
 			off += sb
+			if idx.Hi&^hiMask != 0 || idx.Lo&^loMask != 0 {
+				return nil, Params{}, fmt.Errorf("dict: cell %d sub-cell %d index exceeds %d bits", c, s, bitsUsed)
+			}
 			sc := int32(binary.BigEndian.Uint32(buf[off:]))
 			off += 4
+			if sc <= 0 {
+				return nil, Params{}, fmt.Errorf("dict: cell %d sub-cell %d has count %d", c, s, sc)
+			}
+			sum += int64(sc)
 			arena = append(arena, SubCell{Idx: idx, Count: sc})
+		}
+		// Count is the sum of the sub-cell counts: Phase II reads a
+		// candidate cell's total from it instead of re-summing.
+		if int64(count) != sum {
+			return nil, Params{}, fmt.Errorf("dict: cell %d count %d != sub-cell sum %d", c, count, sum)
 		}
 		entries = append(entries, CellEntry{
 			Key: key, Count: count,

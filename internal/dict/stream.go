@@ -1,6 +1,7 @@
 package dict
 
 import (
+	"slices"
 	"sort"
 
 	"rpdbscan/internal/grid"
@@ -76,13 +77,7 @@ func (b *StreamBuilder) Entries() []CellEntry {
 		for idx, cnt := range c.subs {
 			e.Subs = append(e.Subs, SubCell{Idx: idx, Count: cnt})
 		}
-		sort.Slice(e.Subs, func(i, j int) bool {
-			a, s := e.Subs[i].Idx, e.Subs[j].Idx
-			if a.Hi != s.Hi {
-				return a.Hi < s.Hi
-			}
-			return a.Lo < s.Lo
-		})
+		slices.SortFunc(e.Subs, cmpSub)
 		entries = append(entries, e)
 	}
 	return entries

@@ -268,14 +268,12 @@ func (p *Proc) deliver(slot *worker, stage, path string, body []byte, headers ma
 	const maxTries = 4
 	var lastErr error
 	for try := 0; try < maxTries; try++ {
-		base, err := p.ensureAlive(slot, stage)
+		base, gen, err := p.ensureAlive(slot, stage)
 		if err != nil {
 			// A failed respawn or re-sync usually means the incarnation we
 			// believed alive is not (an external kill the transport has not
 			// observed yet): mark it dead so the next try respawns.
-			slot.mu.Lock()
-			slot.alive = false
-			slot.mu.Unlock()
+			slot.markDead(gen)
 			lastErr = err
 			continue
 		}
@@ -290,18 +288,14 @@ func (p *Proc) deliver(slot *worker, stage, path string, body []byte, headers ma
 		if err != nil {
 			// Connection-level failure: mark the incarnation dead and
 			// redeliver on a fresh one.
-			slot.mu.Lock()
-			slot.alive = false
-			slot.mu.Unlock()
+			slot.markDead(gen)
 			lastErr = err
 			continue
 		}
 		respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 		resp.Body.Close()
 		if err != nil {
-			slot.mu.Lock()
-			slot.alive = false
-			slot.mu.Unlock()
+			slot.markDead(gen)
 			lastErr = err
 			continue
 		}
@@ -310,11 +304,26 @@ func (p *Proc) deliver(slot *worker, stage, path string, body []byte, headers ma
 	return 0, nil, "", fmt.Errorf("transport: delivery failed after %d tries: %w", maxTries, lastErr)
 }
 
-// ensureAlive returns the slot's base URL, respawning a replacement
-// incarnation first if the current one is dead. A fresh incarnation gets
-// every previously pushed blob re-synced (verified, chaos-free — recovery
-// traffic is not part of the fault schedule) before any task reaches it.
-func (p *Proc) ensureAlive(slot *worker, stage string) (string, error) {
+// markDead marks incarnation gen of the slot dead, so the next
+// ensureAlive respawns it. A failure observed on an older incarnation is
+// stale — a kill aimed at another task already replaced it — and must not
+// condemn the healthy successor, whose in-flight requests a respawn would
+// reset.
+func (w *worker) markDead(gen int) {
+	w.mu.Lock()
+	if w.gen == gen {
+		w.alive = false
+	}
+	w.mu.Unlock()
+}
+
+// ensureAlive returns the slot's base URL and incarnation, respawning a
+// replacement incarnation first if the current one is dead. A fresh
+// incarnation gets every previously pushed blob re-synced (verified,
+// chaos-free — recovery traffic is not part of the fault schedule) before
+// any task reaches it. The incarnation is returned on error as well, for
+// the caller's markDead.
+func (p *Proc) ensureAlive(slot *worker, stage string) (string, int, error) {
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
 	if !slot.alive {
@@ -324,7 +333,7 @@ func (p *Proc) ensureAlive(slot *worker, stage string) (string, error) {
 		}
 		ep, err := p.opts.Spawn(idx)
 		if err != nil {
-			return "", fmt.Errorf("transport: respawn worker %d: %w", idx, err)
+			return "", slot.gen, fmt.Errorf("transport: respawn worker %d: %w", idx, err)
 		}
 		slot.ep = ep
 		slot.alive = true
@@ -346,11 +355,11 @@ func (p *Proc) ensureAlive(slot *worker, stage string) (string, error) {
 		pl := p.blobs[name]
 		p.blobMu.Unlock()
 		if err := p.syncBlob(slot.ep.URL(), pl, name); err != nil {
-			return "", fmt.Errorf("transport: re-sync blob %q: %w", name, err)
+			return "", slot.gen, fmt.Errorf("transport: re-sync blob %q: %w", name, err)
 		}
 		slot.synced[name] = true
 	}
-	return slot.ep.URL(), nil
+	return slot.ep.URL(), slot.gen, nil
 }
 
 // syncBlob pushes one blob to a fresh incarnation, verified but outside

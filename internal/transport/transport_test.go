@@ -2,8 +2,13 @@ package transport_test
 
 import (
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"reflect"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -93,7 +98,12 @@ func TestTransportEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			for _, chaosOn := range []bool{false, true} {
 				t.Run(fmt.Sprintf("seed=%d/workers=%d/chaos=%v", seed, workers, chaosOn), func(t *testing.T) {
-					opts := transport.Options{Spawn: transport.InProcess()}
+					var spawns atomic.Int64
+					inproc := transport.InProcess()
+					opts := transport.Options{Spawn: func(idx int) (transport.Endpoint, error) {
+						spawns.Add(1)
+						return inproc(idx)
+					}}
 					var inj *chaos.Injector
 					if chaosOn {
 						var err error
@@ -139,6 +149,11 @@ func TestTransportEquivalence(t *testing.T) {
 					}
 					if st.Kills != f.WorkerKills {
 						t.Errorf("kills: injector %d, ledger %d", st.Kills, f.WorkerKills)
+					}
+					// Each injected kill costs at most the one respawn of
+					// its own worker: no collateral respawns.
+					if respawns := spawns.Load() - int64(workers); respawns > int64(st.Kills) {
+						t.Errorf("%d respawns for %d injected kills", respawns, st.Kills)
 					}
 				})
 			}
@@ -402,5 +417,152 @@ func TestMakespanReconciliation(t *testing.T) {
 	}
 	if float64(measured) < float64(simulated)/25 {
 		t.Errorf("measured wall %v diverged below simulated makespan %v beyond the stated bound", measured, simulated)
+	}
+}
+
+// scriptedWorkers is a SpawnFunc whose in-process worker incarnations
+// block chosen invocations inside the handler until the test releases
+// them, so a test decides which request is in flight on which
+// incarnation when a kill lands.
+type scriptedWorkers struct {
+	mu      sync.Mutex
+	spawned int
+	gates   map[[2]int]chan struct{} // (incarnation, task) -> release
+	arrived chan [2]int
+}
+
+func (s *scriptedWorkers) gate(incarnation, task int) chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g := make(chan struct{})
+	s.gates[[2]int{incarnation, task}] = g
+	return g
+}
+
+func (s *scriptedWorkers) spawn(idx int) (transport.Endpoint, error) {
+	s.mu.Lock()
+	inc := s.spawned
+	s.spawned++
+	s.mu.Unlock()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	worker := transport.NewServer()
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/invoke" {
+			task, _ := strconv.Atoi(r.URL.Query().Get("task"))
+			s.mu.Lock()
+			g := s.gates[[2]int{inc, task}]
+			s.mu.Unlock()
+			if g != nil {
+				s.arrived <- [2]int{inc, task}
+				<-g
+			}
+		}
+		worker.ServeHTTP(w, r)
+	})}
+	go srv.Serve(ln)
+	return scriptedEndpoint{srv: srv, url: "http://" + ln.Addr().String()}, nil
+}
+
+type scriptedEndpoint struct {
+	srv *http.Server
+	url string
+}
+
+func (e scriptedEndpoint) URL() string  { return e.url }
+func (e scriptedEndpoint) Kill() error  { return e.srv.Close() }
+func (e scriptedEndpoint) Close() error { return e.srv.Close() }
+
+// holdFailure is a client RoundTripper that parks the first failed round
+// trip of one task's invocation until released: the test then lets the
+// stale failure surface at the moment of its choosing.
+type holdFailure struct {
+	task    string
+	once    sync.Once
+	failed  chan struct{}
+	release chan struct{}
+}
+
+func (h *holdFailure) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil && req.URL.Query().Get("task") == h.task {
+		h.once.Do(func() {
+			close(h.failed)
+			<-h.release
+		})
+	}
+	return resp, err
+}
+
+// TestStaleFailureSparesRespawnedWorker replays, deterministically, the
+// interleaving behind delivery failures under kill chaos: a request in
+// flight on incarnation 0 is reset by a kill aimed at another task, and
+// its failure surfaces only after incarnation 1 has been spawned and is
+// serving another request. The stale failure must not condemn incarnation
+// 1: every request succeeds, and the one injected kill costs exactly one
+// respawn.
+func TestStaleFailureSparesRespawnedWorker(t *testing.T) {
+	s := &scriptedWorkers{gates: map[[2]int]chan struct{}{}, arrived: make(chan [2]int, 4)}
+	gateA := s.gate(0, 0) // task 0 parks on incarnation 0
+	gateC := s.gate(1, 3) // task 3 parks on incarnation 1
+	hold := &holdFailure{task: "0", failed: make(chan struct{}), release: make(chan struct{})}
+	killer := &stageKiller{stage: "II", task: 1}
+	tr, err := transport.NewProc(1, transport.Options{
+		Spawn: s.spawn, Killer: killer, Client: &http.Client{Transport: hold},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Bind(engine.New(1))
+	t.Cleanup(func() {
+		close(gateA)
+		tr.Close()
+	})
+	invoke := func(task int, body string) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			out, err := tr.Invoke("II", "test-echo", task, 0, []byte(body))
+			if err == nil && string(out) != body {
+				err = fmt.Errorf("task %d echoed %q, want %q", task, out, body)
+			}
+			done <- err
+		}()
+		return done
+	}
+
+	doneA := invoke(0, "a")
+	if got := <-s.arrived; got != [2]int{0, 0} {
+		t.Fatalf("arrival %v, want task 0 on incarnation 0", got)
+	}
+	// The kill for task 1 resets task 0's connection; its failure parks.
+	if err := <-invoke(1, "k"); err == nil {
+		t.Fatal("killed invocation succeeded")
+	}
+	<-hold.failed
+	// Task 2 respawns the worker as incarnation 1; task 3 parks on it.
+	if err := <-invoke(2, "b"); err != nil {
+		t.Fatal(err)
+	}
+	doneC := invoke(3, "c")
+	if got := <-s.arrived; got != [2]int{1, 3} {
+		t.Fatalf("arrival %v, want task 3 on incarnation 1", got)
+	}
+	// The stale failure of incarnation 0 now surfaces; task 0 must be
+	// redelivered to incarnation 1, leaving task 3 in flight there.
+	close(hold.release)
+	if err := <-doneA; err != nil {
+		t.Fatalf("task 0: %v", err)
+	}
+	close(gateC)
+	if err := <-doneC; err != nil {
+		t.Fatalf("task 3: %v", err)
+	}
+	s.mu.Lock()
+	respawns := s.spawned - 1
+	s.mu.Unlock()
+	if killer.fired != 1 || respawns != 1 {
+		t.Fatalf("%d respawns for %d injected kills, want exactly one each", respawns, killer.fired)
 	}
 }
