@@ -66,7 +66,13 @@ func Build(pts *geom.Points, payload []int) *Tree {
 		return t
 	}
 	dim := t.dim
-	src := pts.Coords
+	// rows holds the points in construction order, one contiguous row per
+	// point: partitioning a segment moves its rows along with order, so
+	// every bounding-box scan and median selection reads one dense range
+	// instead of gathering rows through the permutation. Once the leaves
+	// are transposed in place it is the tree's coordinate slab.
+	rows := make([]float64, n*dim)
+	copy(rows, pts.Coords)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -83,13 +89,10 @@ func Build(pts *geom.Points, payload []int) *Tree {
 		// Bounding box of the segment, appended to the flat slab.
 		t.bounds = append(t.bounds, make([]float64, 2*dim)...)
 		bb := t.bounds[len(t.bounds)-2*dim:]
-		for d := 0; d < dim; d++ {
-			bb[d] = src[order[lo]*dim+d]
-			bb[dim+d] = bb[d]
-		}
-		for _, idx := range order[lo+1 : hi] {
-			p := src[idx*dim : (idx+1)*dim]
-			for d, v := range p {
+		copy(bb[:dim], rows[lo*dim:(lo+1)*dim])
+		copy(bb[dim:], rows[lo*dim:(lo+1)*dim])
+		for off := (lo + 1) * dim; off < hi*dim; off += dim {
+			for d, v := range rows[off : off+dim] {
 				if v < bb[d] {
 					bb[d] = v
 				}
@@ -110,57 +113,58 @@ func Build(pts *geom.Points, payload []int) *Tree {
 				widest, axis = w, d
 			}
 		}
-		selectNth(src, dim, order[lo:hi], (hi-lo)/2, axis)
+		selectNth(rows[lo*dim:hi*dim], order[lo:hi], dim, (hi-lo)/2, axis)
 		mid := lo + (hi-lo)/2
 		t.nodes = append(t.nodes, node{
 			left:  int32(len(queue)),
 			axis:  int32(axis),
-			split: src[order[mid]*dim+axis],
+			split: rows[mid*dim+axis],
 		})
 		queue = append(queue, seg{lo, mid}, seg{mid, hi})
 	}
-	// Materialise points in tree order, transposing each leaf to SoA.
-	t.coords = make([]float64, n*dim)
-	t.items = make([]int, n)
+	// Transpose each leaf's rows to SoA in place, and resolve payloads.
+	tmp := make([]float64, leafSize*dim)
 	for ni := range t.nodes {
 		nd := &t.nodes[ni]
 		if nd.count == 0 {
 			continue
 		}
 		s, c := int(nd.start), int(nd.count)
-		base := s * dim
+		leaf := rows[s*dim : (s+c)*dim]
+		copy(tmp, leaf)
 		for j := 0; j < c; j++ {
-			orig := order[s+j]
-			if payload != nil {
-				t.items[s+j] = payload[orig]
-			} else {
-				t.items[s+j] = orig
-			}
 			for d := 0; d < dim; d++ {
-				t.coords[base+d*c+j] = src[orig*dim+d]
+				leaf[d*c+j] = tmp[j*dim+d]
 			}
 		}
 	}
+	if payload != nil {
+		for i, orig := range order {
+			order[i] = payload[orig]
+		}
+	}
+	t.coords, t.items = rows, order
 	return t
 }
 
-// selectNth partially orders seg so seg[n] holds the element of rank n by
-// the given axis (Hoare quickselect with median-of-three pivots) — an
-// O(len) median step that replaces a full sort during tree construction.
-func selectNth(src []float64, dim int, seg []int, n, axis int) {
-	lo, hi := 0, len(seg)-1
-	val := func(i int) float64 { return src[seg[i]*dim+axis] }
+// selectNth partially orders the rows (dim values each) and their parallel
+// order entries so that row n holds the element of rank n by the given
+// axis (Hoare quickselect with median-of-three pivots) — an O(len) median
+// step that replaces a full sort during tree construction.
+func selectNth(rows []float64, order []int, dim, n, axis int) {
+	lo, hi := 0, len(order)-1
+	val := func(i int) float64 { return rows[i*dim+axis] }
 	for lo < hi {
 		// Median-of-three pivot, moved to lo.
 		mid := lo + (hi-lo)/2
 		if val(mid) < val(lo) {
-			seg[mid], seg[lo] = seg[lo], seg[mid]
+			swapRows(rows, order, dim, mid, lo)
 		}
 		if val(hi) < val(lo) {
-			seg[hi], seg[lo] = seg[lo], seg[hi]
+			swapRows(rows, order, dim, hi, lo)
 		}
 		if val(hi) < val(mid) {
-			seg[hi], seg[mid] = seg[mid], seg[hi]
+			swapRows(rows, order, dim, hi, mid)
 		}
 		pivot := val(mid)
 		i, j := lo, hi
@@ -172,7 +176,7 @@ func selectNth(src []float64, dim int, seg []int, n, axis int) {
 				j--
 			}
 			if i <= j {
-				seg[i], seg[j] = seg[j], seg[i]
+				swapRows(rows, order, dim, i, j)
 				i++
 				j--
 			}
@@ -184,6 +188,15 @@ func selectNth(src []float64, dim int, seg []int, n, axis int) {
 		} else {
 			return
 		}
+	}
+}
+
+// swapRows exchanges rows i and j and their order entries.
+func swapRows(rows []float64, order []int, dim, i, j int) {
+	order[i], order[j] = order[j], order[i]
+	a, b := rows[i*dim:(i+1)*dim], rows[j*dim:(j+1)*dim]
+	for d := range a {
+		a[d], b[d] = b[d], a[d]
 	}
 }
 

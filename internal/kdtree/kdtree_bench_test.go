@@ -56,7 +56,7 @@ func buildRef(pts *geom.Points) *refTree {
 				widest, axis = w, d
 			}
 		}
-		selectNth(src, t.dim, order[lo:hi], (hi-lo)/2, axis)
+		selectNthIndirect(src, t.dim, order[lo:hi], (hi-lo)/2, axis)
 		mid := lo + (hi-lo)/2
 		self := len(t.nodes)
 		t.nodes = append(t.nodes, refNode{bounds: b})

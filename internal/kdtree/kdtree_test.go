@@ -2,6 +2,7 @@ package kdtree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -269,5 +270,167 @@ func TestNearestInBallTieBreak(t *testing.T) {
 	empty := Build(geom.NewPoints(2, 0), nil)
 	if _, _, ok := empty.NearestInBall([]float64{0, 0}, 1); ok {
 		t.Fatal("NearestInBall matched on an empty tree")
+	}
+}
+
+// buildIndirect is Build as it was before construction moved rows along
+// with the permutation: it reads every row through order. It is kept as
+// the reference TestBuildMatchesIndirect holds Build to, byte for byte.
+func buildIndirect(pts *geom.Points, payload []int) *Tree {
+	n := pts.N()
+	t := &Tree{dim: pts.Dim}
+	if n == 0 {
+		return t
+	}
+	dim := t.dim
+	src := pts.Coords
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	// BFS construction: the work queue is processed FIFO and every entry
+	// becomes exactly one node, so an entry's queue position IS its node
+	// id, and the two children a parent appends together become adjacent
+	// nodes — the left/left+1 layout needs no patching.
+	type seg struct{ lo, hi int }
+	queue := make([]seg, 1, 2*(n/leafSize+1))
+	queue[0] = seg{0, n}
+	for qi := 0; qi < len(queue); qi++ {
+		lo, hi := queue[qi].lo, queue[qi].hi
+		// Bounding box of the segment, appended to the flat slab.
+		t.bounds = append(t.bounds, make([]float64, 2*dim)...)
+		bb := t.bounds[len(t.bounds)-2*dim:]
+		for d := 0; d < dim; d++ {
+			bb[d] = src[order[lo]*dim+d]
+			bb[dim+d] = bb[d]
+		}
+		for _, idx := range order[lo+1 : hi] {
+			p := src[idx*dim : (idx+1)*dim]
+			for d, v := range p {
+				if v < bb[d] {
+					bb[d] = v
+				}
+				if v > bb[dim+d] {
+					bb[dim+d] = v
+				}
+			}
+		}
+		if hi-lo <= leafSize {
+			t.nodes = append(t.nodes, node{start: int32(lo), count: int32(hi - lo)})
+			continue
+		}
+		// Split along the widest axis at the median.
+		axis := 0
+		widest := bb[dim] - bb[0]
+		for d := 1; d < dim; d++ {
+			if w := bb[dim+d] - bb[d]; w > widest {
+				widest, axis = w, d
+			}
+		}
+		selectNthIndirect(src, dim, order[lo:hi], (hi-lo)/2, axis)
+		mid := lo + (hi-lo)/2
+		t.nodes = append(t.nodes, node{
+			left:  int32(len(queue)),
+			axis:  int32(axis),
+			split: src[order[mid]*dim+axis],
+		})
+		queue = append(queue, seg{lo, mid}, seg{mid, hi})
+	}
+	// Materialise points in tree order, transposing each leaf to SoA.
+	t.coords = make([]float64, n*dim)
+	t.items = make([]int, n)
+	for ni := range t.nodes {
+		nd := &t.nodes[ni]
+		if nd.count == 0 {
+			continue
+		}
+		s, c := int(nd.start), int(nd.count)
+		base := s * dim
+		for j := 0; j < c; j++ {
+			orig := order[s+j]
+			if payload != nil {
+				t.items[s+j] = payload[orig]
+			} else {
+				t.items[s+j] = orig
+			}
+			for d := 0; d < dim; d++ {
+				t.coords[base+d*c+j] = src[orig*dim+d]
+			}
+		}
+	}
+	return t
+}
+
+// selectNthIndirect is selectNth over a permutation of src: seg[n] ends
+// up holding the index of the element of rank n by the given axis.
+func selectNthIndirect(src []float64, dim int, seg []int, n, axis int) {
+	lo, hi := 0, len(seg)-1
+	val := func(i int) float64 { return src[seg[i]*dim+axis] }
+	for lo < hi {
+		// Median-of-three pivot, moved to lo.
+		mid := lo + (hi-lo)/2
+		if val(mid) < val(lo) {
+			seg[mid], seg[lo] = seg[lo], seg[mid]
+		}
+		if val(hi) < val(lo) {
+			seg[hi], seg[lo] = seg[lo], seg[hi]
+		}
+		if val(hi) < val(mid) {
+			seg[hi], seg[mid] = seg[mid], seg[hi]
+		}
+		pivot := val(mid)
+		i, j := lo, hi
+		for i <= j {
+			for val(i) < pivot {
+				i++
+			}
+			for val(j) > pivot {
+				j--
+			}
+			if i <= j {
+				seg[i], seg[j] = seg[j], seg[i]
+				i++
+				j--
+			}
+		}
+		if n <= j {
+			hi = j
+		} else if n >= i {
+			lo = i
+		} else {
+			return
+		}
+	}
+}
+
+// TestBuildMatchesIndirect pins the row-contiguous construction to the
+// permutation-indirect one: the same median selections, so the same nodes,
+// bounds, coordinate slab and payloads, bit for bit. Integer-valued inputs
+// make ties on the split axis common, which exercises the swap order.
+func TestBuildMatchesIndirect(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, dim := range []int{1, 2, 3, 5, 13} {
+		for _, n := range []int{1, leafSize, leafSize + 1, 1000, 5003} {
+			for _, ties := range []bool{false, true} {
+				pts := randomPoints(r, n, dim)
+				if ties {
+					for i := range pts.Coords {
+						pts.Coords[i] = float64(int(pts.Coords[i]))
+					}
+				}
+				var payload []int
+				if n%2 == 1 {
+					payload = make([]int, n)
+					for i := range payload {
+						payload[i] = 3*i + 1
+					}
+				}
+				got, want := Build(pts, payload), buildIndirect(pts, payload)
+				if got.dim != want.dim || !slices.Equal(got.nodes, want.nodes) || !slices.Equal(got.bounds, want.bounds) ||
+					!slices.Equal(got.coords, want.coords) || !slices.Equal(got.items, want.items) {
+					t.Fatalf("dim=%d n=%d ties=%v: tree differs from the indirect build", dim, n, ties)
+				}
+			}
+		}
 	}
 }

@@ -178,7 +178,7 @@ func Decode(buf []byte) (*Model, error) {
 		}
 		m.coords[i] = v
 	}
-	m.finish()
+	m.finish(buf)
 	return m, nil
 }
 

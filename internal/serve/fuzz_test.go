@@ -41,6 +41,9 @@ func FuzzModelDecode(f *testing.F) {
 			if enc := m.Encode(); !bytes.Equal(enc, buf) {
 				t.Fatalf("accepted artifact is not canonical: %d bytes in, %d out", len(buf), len(enc))
 			}
+			if m.Checksum() != fnv64a(buf[checksumStart:]) {
+				t.Fatalf("accepted artifact's checksum %016x is not its body's", m.Checksum())
+			}
 			// An accepted model must be servable: predicting the origin
 			// must not panic (dimension is validated, coords are finite).
 			if _, err := m.Predict(make([]float64, m.Dim())); err != nil {

@@ -97,13 +97,15 @@ func New(coords []float64, dim int, labels []int, core []bool, eps float64, minP
 		}
 		m.labels[i] = int32(l)
 	}
-	m.finish()
+	m.finish(nil)
 	return m, nil
 }
 
 // finish derives the core-point index and artifact identity from the
-// validated fields. Shared by New and Decode.
-func (m *Model) finish() {
+// validated fields. Shared by New and Decode: enc is the model's canonical
+// encoding when the caller holds it already (Decode accepts canonical
+// artifacts only), nil to encode it here.
+func (m *Model) finish(enc []byte) {
 	n := len(m.labels)
 	var coreIdx []int
 	for i := 0; i < n; i++ {
@@ -117,7 +119,9 @@ func (m *Model) finish() {
 		corePts.Append(m.coords[i*m.dim : (i+1)*m.dim])
 	}
 	m.tree = kdtree.Build(corePts, coreIdx)
-	enc := m.Encode()
+	if enc == nil {
+		enc = m.Encode()
+	}
 	m.artifactBytes = len(enc)
 	m.checksum = fnv64a(enc[checksumStart:])
 }
