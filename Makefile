@@ -37,7 +37,6 @@ fuzz:
 	$(GO) test -fuzz FuzzModelDecode -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzPredictRequest -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzIngestRequest -fuzztime 30s ./internal/serve/
-	$(GO) test -fuzz FuzzLoadNewest -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzManifestDecode -fuzztime 30s ./internal/registry/
 	$(GO) test -fuzz FuzzRegistryOpen -fuzztime 30s ./internal/registry/
 

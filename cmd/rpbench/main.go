@@ -524,17 +524,21 @@ func fig20(s harness.Scale) error {
 // skip).
 var phase2Out string
 
-// phase2: Phase II hot-path benchmark — blocked SoA kernels vs the scalar
-// batched path vs the per-point oracle, swept over dim and size.
+// phase2: Phase II hot-path benchmark — the blocked SoA kernels vs the
+// per-point oracle, swept over dim and size.
 func phase2(s harness.Scale) error {
-	header("Phase II: blocked vs batched vs per-point region queries (skewed mixture)")
+	header("Phase II: blocked vs per-point region queries (skewed mixture)")
 	rows, err := harness.Phase2(s)
 	if err != nil {
 		return err
 	}
 	for _, r := range rows {
-		fmt.Printf("  n=%-6d dim=%d %-10s stage=%9.1fms  %10.0f ns/op  %8.3f allocs/op  %12.0f points/sec  RI=%.4f  speedup=%.2fx\n",
-			r.N, r.Dim, r.Mode, r.StageMillis, r.NsPerOp, r.AllocsPerOp, r.PointsPerSec, r.RandIndex, r.Speedup)
+		speedup := "" // groups without a per-point row have none
+		if r.Speedup > 0 {
+			speedup = fmt.Sprintf("  speedup=%.2fx", r.Speedup)
+		}
+		fmt.Printf("  n=%-6d dim=%d %-10s stage=%9.1fms  %10.0f ns/op  %8.3f allocs/op  %12.0f points/sec  RI=%.4f%s\n",
+			r.N, r.Dim, r.Mode, r.StageMillis, r.NsPerOp, r.AllocsPerOp, r.PointsPerSec, r.RandIndex, speedup)
 		if r.RandIndex != 1 {
 			return fmt.Errorf("phase2: mode %s (n=%d dim=%d) diverged from blocked labels (Rand index %v)", r.Mode, r.N, r.Dim, r.RandIndex)
 		}

@@ -87,20 +87,11 @@ type Config struct {
 	// Seed drives the pseudo random cell-to-partition assignment.
 	Seed int64
 
-	// DisableBatching answers Phase II region queries per point (the
-	// pre-batching oracle path) instead of per cell. Results are
-	// identical; only cost changes. Ablation / testing knob.
+	// DisableBatching answers Phase II region queries per point with
+	// dict.Querier.Query, the oracle the blocked kernels are tested
+	// against, instead of per cell. Results are identical; only cost
+	// changes. Testing knob.
 	DisableBatching bool
-	// DisableIndex makes the dictionary querier scan entries instead of
-	// using its kd-tree or low-dimensional stencil index
-	// (dict.Querier.DisableIndex). Results are identical; only cost
-	// changes.
-	DisableIndex bool
-	// DisableSoA answers batched Phase II residuals point by point (the
-	// pre-SoA scalar loops) instead of through the blocked per-dimension
-	// lane kernels. Results are identical; only cost changes. Ablation /
-	// testing knob; ignored when DisableBatching is set.
-	DisableSoA bool
 	// SerialMerge merges Phase III subgraphs with the pairwise tournament
 	// of Figure 9a instead of the flat lock-free merge, restoring the
 	// per-round edge telemetry of Table 7. Results are identical; only
@@ -329,7 +320,13 @@ func Run(pts *geom.Points, cfg Config, cl *engine.Cluster) (*Result, error) {
 	numCells := stats.NumCells
 	cl.RunStage("II", "cell-graph-construction", k, func(t int) {
 		// Tasks on one executor share its dictionary copy.
-		phase2Task(pts, cfg, parts[t], dicts[t%numExec], numCells, res.CorePoint)
+		st := parts[t]
+		phase2Task(pts, cfg, st, dicts[t%numExec], numCells)
+		for _, ids := range st.corePts {
+			for _, pi := range ids {
+				res.CorePoint[pi] = true
+			}
+		}
 	})
 	for i := range dicts {
 		dicts[i] = nil // release the executors' dictionary copies
@@ -422,56 +419,39 @@ func labelPhase(cl *engine.Cluster, cfg Config, pts *geom.Points, parts []*partS
 
 // phase2Task runs one partition's share of Phase II — core marking and
 // cell-subgraph building (Algorithm 3) — over the owned cells of st,
-// filling st.ids/cellCore/corePts/subgraph and marking core points in
-// corePoint. The hot path batches region queries at cell granularity
-// (dict.Querier.QueryCell) and evaluates the per-point residual checks
-// through the blocked SoA kernels: each cell's points are gathered once
-// into per-dimension lanes (geom.Block), CountPoints answers every point's
-// core decision candidate-by-candidate with the MinPts early exit, and
-// AppendNeighborsBlock computes the core points' neighbor-cell union
-// directly. cfg.DisableSoA selects the scalar per-point residual loops and
-// cfg.DisableBatching the per-point oracle path; all three produce
-// identical output.
-func phase2Task(pts *geom.Points, cfg Config, st *partState, d *dict.Dictionary, numCells int, corePoint []bool) {
+// filling st.ids/cellCore/corePts/subgraph; st.corePts is the partition's
+// only record of its core points. The production path batches region
+// queries at cell granularity (dict.Querier.QueryCell) and evaluates the
+// per-point residual checks through the blocked SoA kernels: each cell's
+// points are gathered once into per-dimension lanes (geom.Block),
+// CountPoints answers every point's core decision candidate-by-candidate
+// with the MinPts early exit, and AppendNeighborsBlock computes the core
+// points' neighbor-cell union directly. cfg.DisableBatching selects the
+// per-point oracle (dict.Querier.Query) instead; both produce identical
+// output.
+func phase2Task(pts *geom.Points, cfg Config, st *partState, d *dict.Dictionary, numCells int) {
 	q := d.AcquireQuerier()
 	defer d.ReleaseQuerier(q)
-	q.DisableBatching = cfg.DisableBatching
-	q.DisableIndex = cfg.DisableIndex
 	g := graph.New(numCells)
 	st.ids = make([]int32, len(st.cells))
 	st.cellCore = make([]bool, len(st.cells))
 	st.corePts = make([][]int, len(st.cells))
-	// Scratch of the blocked path, pooled across tasks and pre-sized to the
-	// partition's largest cell so the cell loop never reallocates. The
-	// arena backs every cell's core-point list (total core points never
-	// exceed total points): one allocation per task instead of one per core
-	// cell, and it cannot be pooled because the windows are retained in
-	// st.corePts.
-	var scratch *phase2Scratch
-	var counts []int64
-	var sel []bool
-	var arena []int
-	if !cfg.DisableBatching && !cfg.DisableSoA {
-		maxn, total := 0, 0
-		for _, cell := range st.cells {
-			if len(cell.Points) > maxn {
-				maxn = len(cell.Points)
-			}
-			total += len(cell.Points)
-		}
-		scratch = phase2Pool.Get().(*phase2Scratch)
-		defer phase2Pool.Put(scratch)
-		scratch.ensure(pts.Dim, maxn)
-		counts = scratch.counts
-		sel = scratch.sel
-		arena = make([]int, 0, total)
+	// Scratch, pooled across tasks and pre-sized to the partition's largest
+	// cell so the cell loop never reallocates. The arena backs every cell's
+	// core-point list (total core points never exceed total points): one
+	// allocation per task instead of one per core cell, and it cannot be
+	// pooled because the windows are retained in st.corePts.
+	maxn, total := 0, 0
+	for _, cell := range st.cells {
+		maxn = max(maxn, len(cell.Points))
+		total += len(cell.Points)
 	}
-	// Sparse-set dedup of neighbor-cell ids keyed by dense cell id: inNC
-	// flags membership, ncIDs lists members for an O(|NC|) reset. Replaces
-	// a map[int32]struct{} whose hashing and clearing dominated cells with
-	// many core points.
-	inNC := make([]bool, numCells)
-	ncIDs := make([]int32, 0, 64)
+	scratch := phase2Pool.Get().(*phase2Scratch)
+	defer phase2Pool.Put(scratch)
+	scratch.ensure(pts.Dim, maxn)
+	blk := &scratch.blk
+	arena := make([]int, 0, total)
+	nc := cellSet{in: make([]bool, numCells), ids: make([]int32, 0, 64)}
 	var neighborCells []int32
 	minPts := int64(cfg.MinPts)
 	for ci, cell := range st.cells {
@@ -482,106 +462,47 @@ func phase2Task(pts *geom.Points, cfg Config, st *partState, d *dict.Dictionary,
 			panic("rpdbscan: owned cell missing from dictionary")
 		}
 		st.ids[ci] = id
-		for _, nid := range ncIDs {
-			inNC[nid] = false
-		}
-		ncIDs = ncIDs[:0]
-		if q.DisableBatching {
+		nc.reset()
+		// The arena's capacity covers every point of the partition, so
+		// appends never reallocate and each cell's window stays valid.
+		start := len(arena)
+		if cfg.DisableBatching {
 			for _, pi := range cell.Points {
-				count, cellsOut := q.Query(pts.At(pi), true, neighborCells[:0])
-				neighborCells = cellsOut
+				var count int64
+				count, neighborCells = q.Query(pts.At(pi), true, neighborCells[:0])
 				if count >= minPts {
-					corePoint[pi] = true
-					st.cellCore[ci] = true
-					st.corePts[ci] = append(st.corePts[ci], pi)
-					for _, nid := range neighborCells {
-						if !inNC[nid] {
-							inNC[nid] = true
-							ncIDs = append(ncIDs, nid)
-						}
-					}
-				}
-			}
-		} else if cfg.DisableSoA {
-			b := q.QueryCell(cell.Key)
-			for _, pi := range cell.Points {
-				p := pts.At(pi)
-				if b.CountPoint(p, minPts) < minPts {
-					continue
-				}
-				corePoint[pi] = true
-				st.cellCore[ci] = true
-				st.corePts[ci] = append(st.corePts[ci], pi)
-				neighborCells = b.AppendNeighbors(p, neighborCells[:0])
-				for _, nid := range neighborCells {
-					if !inNC[nid] {
-						inNC[nid] = true
-						ncIDs = append(ncIDs, nid)
-					}
-				}
-			}
-			if st.cellCore[ci] {
-				// Fully-inside candidates neighbor every point of the
-				// cell, so they join NC once, not once per core point.
-				for _, nid := range b.InsideCells() {
-					if !inNC[nid] {
-						inNC[nid] = true
-						ncIDs = append(ncIDs, nid)
-					}
+					arena = append(arena, pi)
+					nc.add(neighborCells)
 				}
 			}
 		} else {
 			b := q.QueryCell(cell.Key)
-			blk := &scratch.blk
 			blk.Gather(pts, cell.Points)
 			np := len(cell.Points)
-			counts, sel = counts[:np], sel[:np]
+			counts, sel := scratch.counts[:np], scratch.sel[:np]
 			b.CountPoints(blk, minPts, counts)
-			ncore := 0
-			for i := range cell.Points {
+			for i, pi := range cell.Points {
 				sel[i] = counts[i] >= minPts
 				if sel[i] {
-					ncore++
+					arena = append(arena, pi)
 				}
 			}
-			if ncore > 0 {
-				st.cellCore[ci] = true
-				// The arena's capacity covers every point of the partition,
-				// so these appends never reallocate and the window stays
-				// valid.
-				start := len(arena)
-				for i, pi := range cell.Points {
-					if sel[i] {
-						corePoint[pi] = true
-						arena = append(arena, pi)
-					}
-				}
-				st.corePts[ci] = arena[start:len(arena):len(arena)]
-			}
-			if st.cellCore[ci] {
+			if len(arena) > start {
 				// Per-point neighbor sets are only ever unioned into NC, so
 				// the blocked kernel answers the union over the cell's core
 				// points directly; fully-inside candidates neighbor every
 				// point and join once.
 				neighborCells = b.AppendNeighborsBlock(blk, sel, neighborCells[:0])
-				for _, nid := range neighborCells {
-					if !inNC[nid] {
-						inNC[nid] = true
-						ncIDs = append(ncIDs, nid)
-					}
-				}
-				for _, nid := range b.InsideCells() {
-					if !inNC[nid] {
-						inNC[nid] = true
-						ncIDs = append(ncIDs, nid)
-					}
-				}
+				nc.add(neighborCells)
+				nc.add(b.InsideCells())
 			}
 		}
-		if st.cellCore[ci] {
+		if len(arena) > start {
+			st.cellCore[ci] = true
+			st.corePts[ci] = arena[start:len(arena):len(arena)]
 			g.SetVertex(id, graph.Core)
-			slices.Sort(ncIDs) // deterministic edge insertion order
-			for _, nid := range ncIDs {
+			slices.Sort(nc.ids) // deterministic edge insertion order
+			for _, nid := range nc.ids {
 				g.AddEdge(id, nid)
 			}
 		} else {
@@ -589,4 +510,29 @@ func phase2Task(pts *geom.Points, cfg Config, st *partState, d *dict.Dictionary,
 		}
 	}
 	st.subgraph = g
+}
+
+// cellSet is a sparse set of dense cell ids, the neighbor cells NC of one
+// owned cell: in flags membership, ids lists members for an O(|NC|) reset.
+// It is not a map because hashing and clearing a map dominated cells with
+// many core points.
+type cellSet struct {
+	in  []bool
+	ids []int32
+}
+
+func (s *cellSet) add(ids []int32) {
+	for _, id := range ids {
+		if !s.in[id] {
+			s.in[id] = true
+			s.ids = append(s.ids, id)
+		}
+	}
+}
+
+func (s *cellSet) reset() {
+	for _, id := range s.ids {
+		s.in[id] = false
+	}
+	s.ids = s.ids[:0]
 }

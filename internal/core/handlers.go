@@ -66,8 +66,6 @@ type wireConf struct {
 	Seed               int64   `json:"seed"`
 	MaxCellsPerSubDict int     `json:"max_cells_per_sub_dict"`
 	DisableBatching    bool    `json:"disable_batching,omitempty"`
-	DisableIndex       bool    `json:"disable_index,omitempty"`
-	DisableSoA         bool    `json:"disable_soa,omitempty"`
 }
 
 // EncodePoints serialises a point set for the points blob: dim uint32,
@@ -336,12 +334,9 @@ func handlePhase2(ws *engine.WorkerState, _ int, input []byte) ([]byte, error) {
 	cfg := Config{
 		Eps: conf.Eps, MinPts: conf.MinPts, Rho: conf.Rho,
 		DisableBatching: conf.DisableBatching,
-		DisableIndex:    conf.DisableIndex,
-		DisableSoA:      conf.DisableSoA,
 	}
 	st := &partState{cells: cells}
-	corePoint := make([]bool, pts.N())
-	phase2Task(pts, cfg, st, d, numCells, corePoint)
+	phase2Task(pts, cfg, st, d, numCells)
 	return encodePhase2Result(st), nil
 }
 

@@ -2,11 +2,11 @@ package core
 
 // BenchmarkPhaseII times cell-graph construction only (Algorithm 3):
 // partitioning and the dictionary are built once in setup, and each
-// iteration replays every partition's phase2Task. The blocked/batched/
-// per-point triple quantifies the SoA-kernel and cell-batching speedups on
-// the skewed synthetic workload; cmd/rpbench's phase2 experiment reports
-// the same contrast from the engine's stage accounting, and CI compares
-// the blocked mode's ns/op against the checked-in BENCH_baseline.json.
+// iteration replays every partition's phase2Task. The blocked/per-point
+// pair quantifies the production kernel's speedup over the oracle on the
+// skewed synthetic workload; cmd/rpbench's phase2 experiment reports the
+// same contrast from the engine's stage accounting, and CI compares the
+// blocked mode's ns/op against the checked-in BENCH_baseline.json.
 
 import (
 	"sort"
@@ -24,7 +24,6 @@ type phase2Fixture struct {
 	parts    []*partState
 	d        *dict.Dictionary
 	numCells int
-	core     []bool
 }
 
 // newPhase2Fixture replays Phase I serially on the skewed 2-d mixture.
@@ -71,39 +70,32 @@ func newPhase2FixtureFor(b testing.TB, pts *geom.Points, cfg Config) *phase2Fixt
 		b.Fatal(err)
 	}
 	return &phase2Fixture{
-		pts: pts, cfg: cfg, parts: parts, d: d,
-		numCells: len(entries), core: make([]bool, pts.N()),
+		pts: pts, cfg: cfg, parts: parts, d: d, numCells: len(entries),
 	}
 }
 
-func (f *phase2Fixture) run(disableSoA, disableBatching bool) {
+func (f *phase2Fixture) run(perPoint bool) {
 	cfg := f.cfg
-	cfg.DisableSoA = disableSoA
-	cfg.DisableBatching = disableBatching
-	for i := range f.core {
-		f.core[i] = false
-	}
+	cfg.DisableBatching = perPoint
 	for _, st := range f.parts {
-		phase2Task(f.pts, cfg, st, f.d, f.numCells, f.core)
+		phase2Task(f.pts, cfg, st, f.d, f.numCells)
 	}
 }
 
 func BenchmarkPhaseII(b *testing.B) {
 	f := newPhase2Fixture(b, 20000, 40)
 	for _, mode := range []struct {
-		name            string
-		disableSoA      bool
-		disableBatching bool
+		name     string
+		perPoint bool
 	}{
 		{name: "blocked"},
-		{name: "batched", disableSoA: true},
-		{name: "per-point", disableBatching: true},
+		{name: "per-point", perPoint: true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.run(mode.disableSoA, mode.disableBatching)
+				f.run(mode.perPoint)
 			}
 			sec := b.Elapsed().Seconds()
 			if sec > 0 {
@@ -123,7 +115,7 @@ func BenchmarkPhaseII(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			g.run(false, false)
+			g.run(false)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g.pts.N()), "ns/point")
 	})

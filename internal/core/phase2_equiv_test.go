@@ -1,12 +1,12 @@
 package core
 
-// Property-style equivalence of the Phase II hot path: cell-batched region
-// queries (the default) against the per-point oracle (DisableBatching),
-// with and without the candidate index (the kd-tree, or the stencil for
-// d <= 4), over skewed and uniform data from 1 to 13 dimensions. Batching
-// is a pure evaluation-order change, so Labels, CorePoint and every
-// partition's cell subgraph must be byte-identical — not merely a Rand
-// index of 1.
+// Property-style equivalence of the Phase II hot path: the blocked
+// cell-batched kernels (the production path; the candidate index is the
+// stencil for d <= 4 and the kd-tree above) against the per-point oracle
+// (DisableBatching), over skewed and uniform data from 1 to 13 dimensions.
+// Batching is a pure evaluation-order change, so Labels, CorePoint, every
+// partition's core-point lists and every partition's cell subgraph must be
+// byte-identical — not merely a Rand index of 1.
 
 import (
 	"bytes"
@@ -35,17 +35,15 @@ func assertSameClustering(t *testing.T, name string, base, got *Result) {
 	}
 }
 
-// subgraphs replays f's Phase II under cfg's ablation flags and returns
-// every partition's cell subgraph in canonical encoding: vertex types and
-// the sorted edge lists.
-func (f *phase2Fixture) subgraphs(cfg Config) [][]byte {
-	for i := range f.core {
-		f.core[i] = false
-	}
+// phase2Outputs replays f's Phase II under cfg and returns every
+// partition's encoded Phase II result: cell ids, core flags, core-point
+// lists, and the cell subgraph in canonical encoding (vertex types and the
+// sorted edge lists).
+func (f *phase2Fixture) phase2Outputs(cfg Config) [][]byte {
 	out := make([][]byte, len(f.parts))
 	for t, st := range f.parts {
-		phase2Task(f.pts, cfg, st, f.d, f.numCells, f.core)
-		out[t] = st.subgraph.Encode()
+		phase2Task(f.pts, cfg, st, f.d, f.numCells)
+		out[t] = encodePhase2Result(st)
 	}
 	return out
 }
@@ -98,24 +96,13 @@ func TestPhase2BatchingEquivalence(t *testing.T) {
 				if base.NumClusters == 0 {
 					t.Fatalf("%s: no clusters; the dataset exercises nothing", ds.name)
 				}
+				name := fmt.Sprintf("%s/k=%d/maxCells=%d", ds.name, k, maxCells)
+				assertSameClustering(t, name, base, run(t, ds.pts, cfg))
 				f := newPhase2FixtureFor(t, ds.pts, cfg)
-				baseGraphs := f.subgraphs(oracle)
-				for _, mode := range []struct {
-					name                     string
-					disableIndex, disableSoA bool
-				}{
-					{name: "blocked"},
-					{name: "blocked-noIndex", disableIndex: true},
-					{name: "batched", disableSoA: true},
-				} {
-					got := cfg
-					got.DisableIndex, got.DisableSoA = mode.disableIndex, mode.disableSoA
-					name := fmt.Sprintf("%s/k=%d/maxCells=%d/%s", ds.name, k, maxCells, mode.name)
-					assertSameClustering(t, name, base, run(t, ds.pts, got))
-					for part, g := range f.subgraphs(got) {
-						if !bytes.Equal(g, baseGraphs[part]) {
-							t.Fatalf("%s: partition %d cell subgraph differs from the per-point oracle", name, part)
-						}
+				want := f.phase2Outputs(oracle)
+				for part, got := range f.phase2Outputs(cfg) {
+					if !bytes.Equal(got, want[part]) {
+						t.Fatalf("%s: partition %d Phase II result differs from the per-point oracle", name, part)
 					}
 				}
 			}

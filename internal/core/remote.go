@@ -63,8 +63,6 @@ func runProc(pts *geom.Points, cfg Config, cl *engine.Cluster) (*Result, error) 
 		Eps: cfg.Eps, MinPts: cfg.MinPts, Rho: cfg.Rho,
 		K: k, Seed: cfg.Seed, MaxCellsPerSubDict: cfg.MaxCellsPerSubDict,
 		DisableBatching: cfg.DisableBatching,
-		DisableIndex:    cfg.DisableIndex,
-		DisableSoA:      cfg.DisableSoA,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("rpdbscan: encode conf: %w", err)

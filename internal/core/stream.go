@@ -323,8 +323,7 @@ func RunStream(src pointio.Source, cfg StreamConfig, cl *engine.Cluster) (*Resul
 			}
 			st.cells = append(st.cells, cell)
 		}
-		localCore := make([]bool, len(gids))
-		phase2Task(pts, cfg.Config, st, dicts[t%numExec], numCells, localCore)
+		phase2Task(pts, cfg.Config, st, dicts[t%numExec], numCells)
 		nc := make([][]float64, len(st.cells))
 		for ci, cell := range st.cells {
 			if st.cellCore[ci] {
@@ -342,14 +341,10 @@ func RunStream(src pointio.Source, cfg StreamConfig, cl *engine.Cluster) (*Resul
 				cell.Points[j] = gids[li]
 			}
 		}
-		for ci := range st.corePts {
-			for j, li := range st.corePts[ci] {
-				st.corePts[ci][j] = gids[li]
-			}
-		}
-		for li, c := range localCore {
-			if c {
-				res.CorePoint[gids[li]] = true
+		for _, ids := range st.corePts {
+			for j, li := range ids {
+				ids[j] = gids[li]
+				res.CorePoint[ids[j]] = true
 			}
 		}
 		parts[t] = st

@@ -17,7 +17,7 @@ package dict
 // arithmetic of Querier.Query, so batched and per-point results are
 // identical (the equivalence tests in this package and internal/core pin
 // this). Query remains the correctness oracle; core's DisableBatching
-// ablation flag selects it.
+// flag selects it.
 
 import (
 	"cmp"
@@ -134,7 +134,7 @@ func (q *Querier) QueryCell(key grid.Key) *CellBatch {
 	b.insideIDs = b.insideIDs[:0]
 	b.cands = b.cands[:0]
 	b.hulls = b.hulls[:0]
-	if d.sten != nil && !q.DisableIndex {
+	if d.sten != nil {
 		q.queryStencil(key)
 		return b
 	}
@@ -165,21 +165,11 @@ func (q *Querier) QueryCell(key grid.Key) *CellBatch {
 		if sd.MBR.Empty() {
 			continue
 		}
-		if !q.DisableMBRSkip && sd.MBR.OutsideBox(qbox, eps) {
+		if sd.MBR.OutsideBox(qbox, eps) {
 			q.SkippedSubDicts++
 			continue // Lemma 5.10, hoisted from point to cell
 		}
-		q.cand = q.cand[:0]
-		tree, centers := sd.index(d.Side, d.Dim)
-		if q.DisableIndex {
-			for ei := range sd.Entries {
-				if infl.MinDist2(centers.At(ei)) <= eps*eps {
-					q.cand = append(q.cand, ei)
-				}
-			}
-		} else {
-			q.cand = tree.InBallBox(infl, eps, q.cand)
-		}
+		q.cand = sd.index(d.Side, d.Dim).InBallBox(infl, eps, q.cand[:0])
 		// Inset for the inside test: sub-cell centres lie at least
 		// SubSide/2 away from their cell's faces, so bmax may bound the
 		// distance to the centre hull rather than the whole box. Without
@@ -297,22 +287,6 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// CountPoint returns the (eps,rho)-region count of p, a point of the batch
-// cell. When stopAt > 0 the boundary scan stops as soon as the count
-// reaches it: callers testing count >= MinPts (Algorithm 3 lines 7-9) need
-// no exact total, and the early exit cannot change the core decision
-// because counts only grow as more candidates are scanned.
-func (b *CellBatch) CountPoint(p []float64, stopAt int64) int64 {
-	count := b.insideCount
-	for ci := range b.cands {
-		if stopAt > 0 && count >= stopAt {
-			return count
-		}
-		count += b.candCount(&b.cands[ci], p)
-	}
-	return count
 }
 
 // candCount runs the per-point residual check against one boundary
@@ -453,16 +427,17 @@ func (b *CellBatch) maxSubs() int {
 	return m
 }
 
-// CountPoints is the blocked form of CountPoint: one call answers the
-// (eps,rho)-region count of every point of blk — the gathered query cell —
-// into counts (len blk.N()). The sweep is candidate-outer, point-inner, so
-// each candidate's hull and centre lanes stay hot while every point's
-// residual is evaluated against them in dense per-dimension loops.
+// CountPoints answers the (eps,rho)-region count of every point of blk —
+// the gathered query cell — into counts (len blk.N()). The sweep is
+// candidate-outer, point-inner, so each candidate's hull and centre lanes
+// stay hot while every point's residual is evaluated against them in dense
+// per-dimension loops.
 //
-// Early exit matches CountPoint exactly: a candidate is skipped for point i
-// once counts[i] >= stopAt (stopAt > 0), so the set of (point, candidate)
-// residuals evaluated — and therefore every returned count — is identical
-// to n independent CountPoint calls.
+// With stopAt <= 0 every count is exact. With stopAt > 0 a candidate is
+// skipped for point i once counts[i] >= stopAt: callers testing
+// count >= MinPts (Algorithm 3 lines 7-9) need no exact total, and the
+// early exit cannot change the core decision because counts only grow as
+// more candidates are scanned.
 func (b *CellBatch) CountPoints(blk *geom.Block, stopAt int64, counts []int64) {
 	n := blk.N()
 	for i := 0; i < n; i++ {
@@ -542,7 +517,7 @@ func (b *CellBatch) CountPoints(blk *geom.Block, stopAt int64, counts []int64) {
 // countTail completes CountPoints for the points still below stopAt when
 // the dense sweep hands over at candidate ci0: each undecided point scans
 // the remaining candidates with the scalar residual check, stopping at
-// stopAt exactly as CountPoint does. The (point, candidate) residual set —
+// stopAt under the same skip rule. The (point, candidate) residual set —
 // and so every count — matches the dense sweep continuing to the end.
 func (b *CellBatch) countTail(blk *geom.Block, ci0 int, stopAt int64, counts []int64) {
 	for i := range counts {
@@ -590,8 +565,10 @@ func (b *CellBatch) point(blk *geom.Block, i int) []float64 {
 //     sub-cells, stopping once that axis alone is beyond eps.
 //
 // Every test is a floating-point monotone bound of the Dist2 values it
-// stands for (see hullDist2), so the appended id set equals the union of
-// the per-point AppendNeighbors calls.
+// stands for (see hullDist2), so the appended id set equals the union, over
+// the selected points, of the boundary candidates with a sub-cell centre
+// within eps — together with InsideCells, the union of the neighbor cells
+// NC (Algorithm 3 line 13) that Querier.Query reports for those points.
 func (b *CellBatch) AppendNeighborsBlock(blk *geom.Block, sel []bool, dst []int32) []int32 {
 	n := blk.N()
 	if n == 0 || len(b.cands) == 0 || !b.blockBox(blk, sel) {
@@ -839,17 +816,4 @@ func (b *CellBatch) anyWithin(c *batchCand, p []float64) bool {
 		}
 	}
 	return false
-}
-
-// AppendNeighbors appends to dst the ids of boundary candidates with at
-// least one qualifying sub-cell for p — the residual part of the neighbor
-// cells NC of Algorithm 3 line 13. InsideCells lists the rest, shared by
-// every point of the cell, so callers union the two.
-func (b *CellBatch) AppendNeighbors(p []float64, dst []int32) []int32 {
-	for ci := range b.cands {
-		if c := &b.cands[ci]; b.pointWithin(c, p) {
-			dst = append(dst, c.id)
-		}
-	}
-	return dst
 }

@@ -1,10 +1,11 @@
 package dict
 
-// Micro-benchmarks for the cell-batched Phase II hot path: one full
-// (eps,rho)-region-count pass over a skewed data set, per-point Query vs
-// per-cell QueryCell + CountPoint. Both do identical logical work, so the
-// ratio is the batching speedup in isolation (no graph building, no
-// engine). BenchmarkPhaseII in internal/core covers the full stage.
+// Micro-benchmarks for the Phase II region-count hot path: one full
+// (eps,rho)-region-count pass over a skewed data set, the per-point oracle
+// Query vs per-cell QueryCell + the blocked CountPoints kernel. Both do
+// identical logical work, so the ratio is the production kernel's speedup
+// in isolation (no graph building, no engine). BenchmarkPhaseII in
+// internal/core covers the full stage.
 
 import (
 	"math/rand"
@@ -38,26 +39,20 @@ func BenchmarkQueryPoint(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pts.N()), "ns/point")
 }
 
+// BenchmarkQueryCell measures the blocked kernel: one Gather per cell,
+// then CountPoints answers every point of the cell against each
+// candidate's hull and centre lanes in dense per-dimension loops.
 func BenchmarkQueryCell(b *testing.B) {
-	pts, d, g := batchBenchData(b)
-	q := NewQuerier(d)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, cell := range g.Cells {
-			batch := q.QueryCell(cell.Key)
-			for _, pi := range cell.Points {
-				batch.CountPoint(pts.At(pi), 0)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pts.N()), "ns/point")
+	benchCountPoints(b, 0)
 }
 
-// BenchmarkQueryCellBlocked measures the SoA blocked kernel: one Gather
-// per cell, then CountPoints answers every point of the cell against each
-// candidate's origin and centre lanes in dense per-dimension loops.
-func BenchmarkQueryCellBlocked(b *testing.B) {
+// BenchmarkQueryCellEarlyExit measures the MinPts early exit available to
+// core marking (Algorithm 3): the scan stops once the count is decided.
+func BenchmarkQueryCellEarlyExit(b *testing.B) {
+	benchCountPoints(b, 20)
+}
+
+func benchCountPoints(b *testing.B, stopAt int64) {
 	pts, d, g := batchBenchData(b)
 	q := NewQuerier(d)
 	var blk geom.Block
@@ -69,15 +64,15 @@ func BenchmarkQueryCellBlocked(b *testing.B) {
 			batch := q.QueryCell(cell.Key)
 			blk.Gather(pts, cell.Points)
 			counts = counts[:len(cell.Points)]
-			batch.CountPoints(&blk, 0, counts)
+			batch.CountPoints(&blk, stopAt, counts)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pts.N()), "ns/point")
 }
 
 // TestQueryCellAllocFree pins the steady-state zero-allocation contract of
-// the batched hot path: after one warm-up pass over all cells, QueryCell,
-// CountPoint, CountPoints and AppendNeighborsBlock allocate nothing.
+// the Phase II hot path: after one warm-up pass over all cells, QueryCell,
+// CountPoints and AppendNeighborsBlock allocate nothing.
 func TestQueryCellAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	pts := skewedPoints(r, 5000, 2, 80)
@@ -98,7 +93,6 @@ func TestQueryCellAllocFree(t *testing.T) {
 				sel[i] = true
 			}
 			batch.CountPoints(&blk, 0, counts)
-			batch.CountPoint(pts.At(cell.Points[0]), 0)
 			dst = batch.AppendNeighborsBlock(&blk, sel, dst[:0])
 		}
 	}
@@ -106,23 +100,4 @@ func TestQueryCellAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(5, pass); n != 0 {
 		t.Fatalf("batched query pass allocates %v per run", n)
 	}
-}
-
-// BenchmarkQueryCellEarlyExit measures the MinPts early exit available to
-// core marking (Algorithm 3): the scan stops once the count is decided.
-func BenchmarkQueryCellEarlyExit(b *testing.B) {
-	pts, d, g := batchBenchData(b)
-	q := NewQuerier(d)
-	const minPts = 20
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, cell := range g.Cells {
-			batch := q.QueryCell(cell.Key)
-			for _, pi := range cell.Points {
-				batch.CountPoint(pts.At(pi), minPts)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pts.N()), "ns/point")
 }

@@ -1,11 +1,11 @@
 package dict
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"rpdbscan/internal/geom"
@@ -33,96 +33,83 @@ func skewedPoints(r *rand.Rand, n, dim int, span float64) *geom.Points {
 }
 
 // checkBatchMatchesQuery runs every cell of the data set through QueryCell
-// and asserts, point by point, that counts and neighbor-cell sets match
-// the per-point oracle Query exactly.
-func checkBatchMatchesQuery(t *testing.T, pts *geom.Points, eps, rho float64, maxCells int, disableIndex bool) {
+// and checks the blocked kernels against the per-point oracle Query (see
+// checkCellMatchesQuery).
+func checkBatchMatchesQuery(t *testing.T, pts *geom.Points, eps, rho float64, maxCells int) {
 	t.Helper()
 	d := buildDict(pts, eps, rho, maxCells)
 	oracle := NewQuerier(d)
 	batched := NewQuerier(d)
-	batched.DisableIndex = disableIndex
-	g := grid.Build(pts, eps)
 	var blk geom.Block
-	for _, cell := range g.Cells {
-		b := batched.QueryCell(cell.Key)
-		// Blocked kernels against the scalar per-point path: exact counts
-		// (bit-identical residual arithmetic), exact early-exit values, and
-		// the neighbor-id union over an arbitrary selection.
-		blk.Gather(pts, cell.Points)
-		n := len(cell.Points)
-		counts := make([]int64, n)
-		b.CountPoints(&blk, 0, counts)
-		for i, pi := range cell.Points {
-			if want := b.CountPoint(pts.At(pi), 0); counts[i] != want {
-				t.Fatalf("maxCells=%d: CountPoints[%d]=%d, CountPoint=%d", maxCells, i, counts[i], want)
+	for _, cell := range grid.Build(pts, eps).Cells {
+		checkCellMatchesQuery(t, fmt.Sprintf("maxCells=%d", maxCells), oracle, batched.QueryCell(cell.Key), pts, cell.Points, &blk)
+	}
+}
+
+// checkCellMatchesQuery checks one QueryCell batch against the per-point
+// oracle over the cell's points: CountPoints at stopAt=0 gives every
+// point's exact count; at any stopAt > 0 it gives the exact count of every
+// point below stopAt and a count in [stopAt, exact] otherwise, so the core
+// decision never changes; and for several point selections (alternate
+// points, all, the first, the last) AppendNeighborsBlock, which never
+// repeats an id, unioned with InsideCells is exactly the union of the
+// oracle's neighbor cells.
+func checkCellMatchesQuery(t *testing.T, tag string, oracle *Querier, b *CellBatch, pts *geom.Points, points []int, blk *geom.Block) {
+	t.Helper()
+	n := len(points)
+	want := make([]int64, n)
+	wantCells := make([][]int32, n)
+	for i, pi := range points {
+		want[i], wantCells[i] = oracle.Query(pts.At(pi), true, nil)
+	}
+	blk.Gather(pts, points)
+	counts := make([]int64, n)
+	b.CountPoints(blk, 0, counts)
+	for i := range counts {
+		if counts[i] != want[i] {
+			t.Fatalf("%s: CountPoints[%d]=%d, Query=%d", tag, i, counts[i], want[i])
+		}
+	}
+	stops := []int64{1, 7, 1 << 40, want[0], want[0] + 1, want[n-1], want[n-1] + 1}
+	for _, stop := range stops {
+		if stop <= 0 {
+			continue
+		}
+		b.CountPoints(blk, stop, counts)
+		for i, got := range counts {
+			if want[i] < stop && got != want[i] || want[i] >= stop && (got < stop || got > want[i]) {
+				t.Fatalf("%s stop=%d: CountPoints[%d]=%d, Query=%d", tag, stop, i, got, want[i])
 			}
 		}
-		for _, stop := range []int64{1, 7, 1 << 40} {
-			b.CountPoints(&blk, stop, counts)
-			for i, pi := range cell.Points {
-				if want := b.CountPoint(pts.At(pi), stop); counts[i] != want {
-					t.Fatalf("maxCells=%d stop=%d: CountPoints[%d]=%d, CountPoint=%d",
-						maxCells, stop, i, counts[i], want)
-				}
-			}
-		}
-		sel := make([]bool, n)
-		union := map[int32]bool{}
-		for i, pi := range cell.Points {
-			sel[i] = i%2 == 0 || i == n-1
+	}
+	sel := make([]bool, n)
+	for _, pick := range []func(i int) bool{
+		func(i int) bool { return i%2 == 0 || i == n-1 },
+		func(int) bool { return true },
+		func(i int) bool { return i == 0 },
+		func(i int) bool { return i == n-1 },
+	} {
+		wantUnion := map[int32]bool{}
+		for i := range sel {
+			sel[i] = pick(i)
 			if sel[i] {
-				for _, id := range b.AppendNeighbors(pts.At(pi), nil) {
-					union[id] = true
+				for _, id := range wantCells[i] {
+					wantUnion[id] = true
 				}
 			}
 		}
-		gotUnion := map[int32]bool{}
-		for _, id := range b.AppendNeighborsBlock(&blk, sel, nil) {
-			if gotUnion[id] {
-				t.Fatalf("maxCells=%d: AppendNeighborsBlock repeats id %d", maxCells, id)
+		got := map[int32]bool{}
+		for _, id := range b.AppendNeighborsBlock(blk, sel, nil) {
+			if got[id] {
+				t.Fatalf("%s: AppendNeighborsBlock repeats id %d", tag, id)
 			}
-			gotUnion[id] = true
+			got[id] = true
 		}
-		if len(gotUnion) != len(union) {
-			t.Fatalf("maxCells=%d: blocked neighbor union %v != %v", maxCells, gotUnion, union)
+		for _, id := range b.InsideCells() {
+			got[id] = true
 		}
-		for id := range union {
-			if !gotUnion[id] {
-				t.Fatalf("maxCells=%d: blocked neighbor union missing %d", maxCells, id)
-			}
-		}
-		for _, pi := range cell.Points {
-			p := pts.At(pi)
-			wantCount, wantCells := oracle.Query(p, true, nil)
-			if got := b.CountPoint(p, 0); got != wantCount {
-				t.Fatalf("maxCells=%d idx=%v: CountPoint=%d, Query=%d", maxCells, !disableIndex, got, wantCount)
-			}
-			gotCells := append([]int32(nil), b.InsideCells()...)
-			gotCells = b.AppendNeighbors(p, gotCells)
-			sortIDs := func(s []int32) {
-				sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-			}
-			sortIDs(gotCells)
-			sortIDs(wantCells)
-			if len(gotCells) != len(wantCells) {
-				t.Fatalf("maxCells=%d: neighbor cells %v != %v", maxCells, gotCells, wantCells)
-			}
-			for i := range gotCells {
-				if gotCells[i] != wantCells[i] {
-					t.Fatalf("maxCells=%d: neighbor cells %v != %v", maxCells, gotCells, wantCells)
-				}
-			}
-			// Early exit must agree with the full count on the core
-			// decision at a few thresholds around the count.
-			for _, stop := range []int64{1, wantCount, wantCount + 1} {
-				if stop <= 0 {
-					continue
-				}
-				got := b.CountPoint(p, stop)
-				if (got >= stop) != (wantCount >= stop) {
-					t.Fatalf("early exit at %d flips core decision: %d vs %d", stop, got, wantCount)
-				}
-			}
+		if !maps.Equal(got, wantUnion) {
+			t.Fatalf("%s: neighbor cells %v, oracle %v", tag, sortedIDs(got), sortedIDs(wantUnion))
 		}
 	}
 }
@@ -137,17 +124,16 @@ func TestQueryCellMatchesQuery(t *testing.T) {
 		{2, 0.1, 0}, {2, 0.01, 8}, {3, 0.05, 16}, {5, 0.25, 4},
 	} {
 		uniform := randomPoints(r, 500, tc.dim, 8)
-		checkBatchMatchesQuery(t, uniform, 1.2, tc.rho, tc.maxCells, false)
+		checkBatchMatchesQuery(t, uniform, 1.2, tc.rho, tc.maxCells)
 		// Coordinates on a coarse lattice tie along every axis, so the
 		// axis-sorted point order of AppendNeighborsBlock has equal keys.
 		lattice := randomPoints(r, 500, tc.dim, 8)
 		for i, x := range lattice.Coords {
 			lattice.Coords[i] = math.Round(x*4) / 4
 		}
-		checkBatchMatchesQuery(t, lattice, 1.2, tc.rho, tc.maxCells, false)
+		checkBatchMatchesQuery(t, lattice, 1.2, tc.rho, tc.maxCells)
 		skewed := skewedPoints(r, 500, tc.dim, 8)
-		checkBatchMatchesQuery(t, skewed, 1.2, tc.rho, tc.maxCells, false)
-		checkBatchMatchesQuery(t, skewed, 1.2, tc.rho, tc.maxCells, true)
+		checkBatchMatchesQuery(t, skewed, 1.2, tc.rho, tc.maxCells)
 	}
 }
 
@@ -161,7 +147,7 @@ func TestQueryCellStraddlesSubDicts(t *testing.T) {
 	if len(d.Subs) < 8 {
 		t.Fatalf("want many sub-dictionaries, got %d", len(d.Subs))
 	}
-	checkBatchMatchesQuery(t, pts, 1.5, 0.05, 2, false)
+	checkBatchMatchesQuery(t, pts, 1.5, 0.05, 2)
 }
 
 // TestQueryCellInsideClassification checks that a dense clump actually
@@ -189,14 +175,13 @@ func TestQueryCellInsideClassification(t *testing.T) {
 	}
 }
 
-// FuzzQueryCellEquivalence fuzzes the batched path against the per-point
-// oracle over generated data: per-point counts, and per cell the neighbor
-// cells of its points — AppendNeighborsBlock over every point unioned with
-// InsideCells — against the union of the oracle's Query cells. Dimensions
-// 1-4 take the stencil path, 5 the kd-tree; every fourth seed translates
-// the data by about 1e6*eps, far from the origin. Seeds include a
-// defragmentation bound of 2, which makes every query cell straddle
-// sub-dictionary MBRs.
+// FuzzQueryCellEquivalence fuzzes the blocked kernels against the
+// per-point oracle over generated data, cell by cell, with the checks of
+// checkCellMatchesQuery: exact counts, core decisions at every early-exit
+// threshold, and neighbor-cell unions. Dimensions 1-4 take the stencil
+// path, 5 the kd-tree; every fourth seed translates the data by about
+// 1e6*eps, far from the origin. Seeds include a defragmentation bound of
+// 2, which makes every query cell straddle sub-dictionary MBRs.
 func FuzzQueryCellEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(0), false)
 	f.Add(int64(7), uint8(3), uint8(2), false) // straddling sub-dict MBRs
@@ -221,35 +206,10 @@ func FuzzQueryCellEquivalence(f *testing.F) {
 		dict := buildDict(pts, eps, rho, mc)
 		oracle := NewQuerier(dict)
 		batched := NewQuerier(dict)
-		g := grid.Build(pts, eps)
+		tag := fmt.Sprintf("seed=%d dim=%d maxCells=%d", seed, d, mc)
 		var blk geom.Block
-		for _, cell := range g.Cells {
-			b := batched.QueryCell(cell.Key)
-			want := map[int32]bool{}
-			for _, pi := range cell.Points {
-				p := pts.At(pi)
-				count, cells := oracle.Query(p, true, nil)
-				if got := b.CountPoint(p, 0); got != count {
-					t.Fatalf("seed=%d dim=%d maxCells=%d: CountPoint=%d, Query=%d",
-						seed, d, mc, got, count)
-				}
-				for _, id := range cells {
-					want[id] = true
-				}
-			}
-			blk.Gather(pts, cell.Points)
-			sel := make([]bool, len(cell.Points))
-			for i := range sel {
-				sel[i] = true
-			}
-			got := map[int32]bool{}
-			for _, id := range b.AppendNeighborsBlock(&blk, sel, append([]int32(nil), b.InsideCells()...)) {
-				got[id] = true
-			}
-			if !maps.Equal(got, want) {
-				t.Fatalf("seed=%d dim=%d maxCells=%d: neighbor cells %v, oracle %v",
-					seed, d, mc, sortedIDs(got), sortedIDs(want))
-			}
+		for _, cell := range grid.Build(pts, eps).Cells {
+			checkCellMatchesQuery(t, tag, oracle, batched.QueryCell(cell.Key), pts, cell.Points, &blk)
 		}
 	})
 }

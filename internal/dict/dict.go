@@ -49,26 +49,24 @@ type SubDict struct {
 
 	// The kd-tree over cell centres (payload = entry index) is built on
 	// first use: low-dimensional dictionaries answer QueryCell from their
-	// stencil and need it only for the per-point oracle and the
-	// DisableIndex ablation.
+	// stencil and need it only for the per-point oracle.
 	treeOnce sync.Once
 	tree     *kdtree.Tree
-	centers  *geom.Points
 }
 
-// index returns the sub-dictionary's cell-centre kd-tree and the centres
-// it indexes, building both on first use. Safe for concurrent use.
-func (sd *SubDict) index(side float64, dim int) (*kdtree.Tree, *geom.Points) {
+// index returns the sub-dictionary's cell-centre kd-tree, building it on
+// first use. Safe for concurrent use.
+func (sd *SubDict) index(side float64, dim int) *kdtree.Tree {
 	sd.treeOnce.Do(func() {
-		sd.centers = geom.NewPoints(dim, len(sd.Entries))
+		centers := geom.NewPoints(dim, len(sd.Entries))
 		center := make([]float64, dim)
 		for i := range sd.Entries {
 			sd.Entries[i].Key.Center(side, center)
-			sd.centers.Append(center)
+			centers.Append(center)
 		}
-		sd.tree = kdtree.Build(sd.centers, nil)
+		sd.tree = kdtree.Build(centers, nil)
 	})
-	return sd.tree, sd.centers
+	return sd.tree
 }
 
 // Dictionary is the complete two-level cell dictionary.
@@ -401,28 +399,14 @@ type Querier struct {
 	// the querier was created; used by instrumentation and tests.
 	SkippedSubDicts int64
 
-	// DisableIndex makes candidate-cell lookup scan every entry instead
-	// of using the kd-tree or the low-dimensional stencil — the ablation
-	// of Lemma 5.6's index. Results are identical; only cost changes.
-	DisableIndex bool
-	// DisableMBRSkip turns off the sub-dictionary pruning of Lemma 5.10
-	// — the ablation of dictionary defragmentation's benefit. Results
-	// are identical; only cost changes.
-	DisableMBRSkip bool
-	// DisableBatching tells batching-aware callers (core's Phase II) to
-	// answer region queries with the per-point Query path instead of
-	// QueryCell — the ablation that keeps the pre-batching code as the
-	// correctness oracle. Results are identical; only cost changes.
-	DisableBatching bool
-
 	// batch and the infl buffers back QueryCell.
 	batch          CellBatch
 	inflLo, inflHi []float64
 	kc             []int64 // query cell coordinates of the stencil path
 }
 
-// AcquireQuerier returns a querier for d from its pool, with flags and
-// counters reset but scratch buffers retained — many short-lived tasks each
+// AcquireQuerier returns a querier for d from its pool, with counters
+// reset but scratch buffers retained — many short-lived tasks each
 // needing a querier (Phase II runs one per partition) would otherwise
 // regrow the batch scratch from zero every time. Return it with
 // ReleaseQuerier; like NewQuerier's result it must not be shared between
@@ -430,7 +414,6 @@ type Querier struct {
 func (d *Dictionary) AcquireQuerier() *Querier {
 	if q, ok := d.qpool.Get().(*Querier); ok {
 		q.SkippedSubDicts = 0
-		q.DisableIndex, q.DisableMBRSkip, q.DisableBatching = false, false, false
 		return q
 	}
 	return NewQuerier(d)
@@ -473,21 +456,11 @@ func (q *Querier) Query(p []float64, wantCells bool, cells []int32) (count int64
 		if sd.MBR.Empty() {
 			continue
 		}
-		if !q.DisableMBRSkip && sd.MBR.Outside(p, eps) {
+		if sd.MBR.Outside(p, eps) {
 			q.SkippedSubDicts++
 			continue // Lemma 5.10: no (eps,rho)-neighbor in this sub-dictionary
 		}
-		q.cand = q.cand[:0]
-		tree, centers := sd.index(d.Side, d.Dim)
-		if q.DisableIndex {
-			for ei := range sd.Entries {
-				if geom.Dist2(p, centers.At(ei)) <= candR*candR {
-					q.cand = append(q.cand, ei)
-				}
-			}
-		} else {
-			q.cand = tree.InBall(p, candR, q.cand)
-		}
+		q.cand = sd.index(d.Side, d.Dim).InBall(p, candR, q.cand[:0])
 		for _, ei := range q.cand {
 			e := &sd.Entries[ei]
 			e.Key.Origin(d.Side, q.origin)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"rpdbscan/internal/frame"
 	"rpdbscan/internal/grid"
 )
 
@@ -29,26 +30,13 @@ const magic = "RPD2"
 // magic and the checksum field).
 const checksumStart = 4 + 8
 
-// fnv64a is the checksum over the wire body.
-func fnv64a(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint64(b[i])) * prime64
-	}
-	return h
-}
-
 // Reseal recomputes and patches the wire checksum in place, returning buf.
 // It exists for tests and fuzzers that mutate encoded bytes and want the
 // mutation to reach the parser instead of being swallowed by the checksum
 // gate; production encoders never need it.
 func Reseal(buf []byte) []byte {
 	if len(buf) >= checksumStart && string(buf[:4]) == magic {
-		binary.BigEndian.PutUint64(buf[4:], fnv64a(buf[checksumStart:]))
+		binary.BigEndian.PutUint64(buf[4:], frame.Sum64(buf[checksumStart:]))
 	}
 	return buf
 }
@@ -98,7 +86,7 @@ func EncodeEntries(entries []CellEntry, p Params) []byte {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(sc.Count))
 		}
 	}
-	binary.BigEndian.PutUint64(buf[4:], fnv64a(buf[checksumStart:]))
+	binary.BigEndian.PutUint64(buf[4:], frame.Sum64(buf[checksumStart:]))
 	return buf
 }
 
@@ -164,7 +152,7 @@ func DecodeEntries(buf []byte) ([]CellEntry, Params, error) {
 	if len(buf) < checksumStart+2+2+8+8+4 || string(buf[:4]) != magic {
 		return nil, Params{}, fmt.Errorf("dict: bad header")
 	}
-	if got := binary.BigEndian.Uint64(buf[4:]); got != fnv64a(buf[checksumStart:]) {
+	if got := binary.BigEndian.Uint64(buf[4:]); got != frame.Sum64(buf[checksumStart:]) {
 		return nil, Params{}, fmt.Errorf("dict: checksum mismatch")
 	}
 	off := checksumStart

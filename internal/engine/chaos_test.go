@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"rpdbscan/internal/frame"
 	"rpdbscan/internal/testutil"
 )
 
@@ -211,11 +212,11 @@ func TestFetchEmptyPayload(t *testing.T) {
 
 func TestChecksumDetectsEverySingleByteFlip(t *testing.T) {
 	b := []byte("the broadcast dictionary payload")
-	sum := checksum64(b)
+	sum := frame.Sum64(b)
 	for i := range b {
 		for bit := 0; bit < 8; bit++ {
 			b[i] ^= 1 << bit
-			if checksum64(b) == sum {
+			if frame.Sum64(b) == sum {
 				t.Fatalf("flip of byte %d bit %d undetected", i, bit)
 			}
 			b[i] ^= 1 << bit

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"rpdbscan/internal/frame"
 )
 
 // payloadChunkSize is the transfer granularity of checksummed payloads:
@@ -41,7 +43,7 @@ func (p *Payload) checksums() []uint64 {
 		p.sums = make([]uint64, n)
 		for c := 0; c < n; c++ {
 			lo, hi := chunkBounds(c, len(p.data))
-			p.sums[c] = checksum64(p.data[lo:hi])
+			p.sums[c] = frame.Sum64(p.data[lo:hi])
 		}
 	})
 	return p.sums
@@ -54,22 +56,6 @@ func chunkBounds(chunk, n int) (lo, hi int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// checksum64 is FNV-1a over b. A single-byte substitution always changes
-// the sum: each mixing step is a bijection of the accumulator for fixed
-// remaining input, so corrupting one byte of a chunk is guaranteed to be
-// detected.
-func checksum64(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint64(b[i])) * prime64
-	}
-	return h
 }
 
 // NewPayload wraps already-produced bytes as a checksummed payload without
@@ -118,7 +104,7 @@ func (c *Cluster) Fetch(p *Payload, task int) ([]byte, error) {
 			if inj.CorruptFetch(p.stage, task, attempt, chunk) {
 				out[lo] ^= 0x80 // one flipped bit on the wire
 			}
-			if checksum64(out[lo:hi]) == sums[chunk] {
+			if frame.Sum64(out[lo:hi]) == sums[chunk] {
 				ok = true
 				break
 			}
@@ -174,7 +160,3 @@ func (p *Payload) ChunkSum(i int) uint64 { return p.checksums()[i] }
 // Stage returns the stage name the payload was broadcast under (the key
 // deterministic injectors corrupt against).
 func (p *Payload) Stage() string { return p.stage }
-
-// Checksum64 exposes the engine's FNV-1a payload checksum so transports
-// and workers verify chunks with the exact function that sealed them.
-func Checksum64(b []byte) uint64 { return checksum64(b) }

@@ -3,6 +3,8 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+
+	"rpdbscan/internal/frame"
 )
 
 // Wire format for a cell subgraph ("RPG1"), used when Phase II runs on the
@@ -50,7 +52,7 @@ func (g *Graph) Encode() []byte {
 			off += 8
 		}
 	}
-	binary.BigEndian.PutUint64(buf[4:], fnv64a(buf[12:]))
+	binary.BigEndian.PutUint64(buf[4:], frame.Sum64(buf[12:]))
 	return buf
 }
 
@@ -72,7 +74,7 @@ func Decode(buf []byte) (*Graph, error) {
 		return nil, fmt.Errorf("graph: body is %d bytes, header promises %d",
 			len(buf)-graphHeaderSize, bodyLen)
 	}
-	if fnv64a(buf[12:]) != want {
+	if frame.Sum64(buf[12:]) != want {
 		return nil, fmt.Errorf("graph: checksum mismatch")
 	}
 	body := buf[graphHeaderSize:]
@@ -121,17 +123,4 @@ func Decode(buf []byte) (*Graph, error) {
 		return nil, fmt.Errorf("graph: %d trailing bytes", len(body)-off)
 	}
 	return g, nil
-}
-
-// fnv64a is the FNV-1a checksum shared with the RPD2/RPS1 formats.
-func fnv64a(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint64(b[i])) * prime64
-	}
-	return h
 }

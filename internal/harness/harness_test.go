@@ -274,9 +274,9 @@ func TestPhase2SweepShape(t *testing.T) {
 	}
 	want := 0
 	for _, dim := range phase2Dims {
-		modes := 2
+		modes := 1
 		if dim == 2 {
-			modes = 3
+			modes = 2
 		}
 		want += 2 * modes // two N values per dim
 	}
@@ -287,8 +287,11 @@ func TestPhase2SweepShape(t *testing.T) {
 		if r.RandIndex != 1 {
 			t.Fatalf("mode %s (n=%d dim=%d): Rand index %v, want exactly 1", r.Mode, r.N, r.Dim, r.RandIndex)
 		}
-		if r.Mode == "batched" && r.Speedup != 1 {
-			t.Fatalf("batched row speedup = %v, want 1", r.Speedup)
+		if r.Mode == "per-point" && r.Speedup != 1 {
+			t.Fatalf("per-point row speedup = %v, want 1", r.Speedup)
+		}
+		if hasPerPoint := r.Dim == 2; hasPerPoint != (r.Speedup > 0) {
+			t.Fatalf("mode %s (n=%d dim=%d): speedup %v, want > 0 exactly when the group has a per-point row", r.Mode, r.N, r.Dim, r.Speedup)
 		}
 		if r.StageMillis <= 0 {
 			t.Fatalf("mode %s (n=%d dim=%d): non-positive stage time", r.Mode, r.N, r.Dim)

@@ -1,10 +1,9 @@
 package harness
 
 // Phase II hot-path benchmark: the blocked SoA kernel (geom.Block lanes +
-// dict.CellBatch.CountPoints) against the scalar cell-batched path
-// (core.Config.DisableSoA) and the per-point oracle
-// (core.Config.DisableBatching) on the appendix's skewed mixture, swept
-// over dimensionality and size. The contrast isolates one stage —
+// dict.CellBatch.CountPoints), the production path, against the per-point
+// oracle (core.Config.DisableBatching) on the appendix's skewed mixture,
+// swept over dimensionality and size. The contrast isolates one stage —
 // cell-graph-construction (Algorithm 3) — via the engine's per-stage
 // accounting; clusterings must stay byte-identical (Rand index 1.0), since
 // the modes only reorder evaluation. cmd/rpbench serialises the rows as
@@ -35,9 +34,8 @@ var phase2Dims = []int{2, 3, 5}
 // Phase2Row reports the Phase II stage cost of one query mode at one
 // (n, dim) sweep point.
 type Phase2Row struct {
-	// Mode is "blocked" (SoA lane kernels, the default path), "batched"
-	// (cell-batched queries with scalar per-point residuals), or
-	// "per-point" (the pre-batching oracle, dim=2 groups only).
+	// Mode is "blocked" (SoA lane kernels, the production path) or
+	// "per-point" (the oracle, dim=2 groups only).
 	Mode string `json:"mode"`
 	N    int    `json:"n"`
 	Dim  int    `json:"dim"`
@@ -54,24 +52,16 @@ type Phase2Row struct {
 	// RandIndex compares this mode's clustering against the blocked
 	// run's; any value other than 1 is a correctness bug.
 	RandIndex float64 `json:"rand_index"`
-	// Speedup is the batched (scalar) stage time of the same (n, dim)
-	// group divided by this mode's — 1 for the batched row itself, so the
-	// blocked row reads directly as the SoA layout win.
-	Speedup float64 `json:"speedup"`
-}
-
-// phase2Mode configures one measured query path.
-type phase2Mode struct {
-	name            string
-	disableSoA      bool
-	disableBatching bool
+	// Speedup is the per-point stage time of the same (n, dim) group
+	// divided by this mode's — 1 for the per-point row itself. Groups
+	// without a per-point row omit it.
+	Speedup float64 `json:"speedup,omitempty"`
 }
 
 // Phase2 benchmarks the Phase II hot path on the skewed synthetic mixture
 // (alpha = 3, ten components) over dim x {N/2, N}: one row per query mode
 // per sweep point. The per-point oracle joins only the dim=2 groups — at
-// higher dimension it is minutes-slow and adds nothing the batched
-// contrast doesn't show.
+// higher dimension it is minutes-slow.
 func Phase2(s Scale) ([]Phase2Row, error) {
 	s = s.norm()
 	ns := []int{s.N / 2, s.N}
@@ -91,12 +81,11 @@ func Phase2(s Scale) ([]Phase2Row, error) {
 				allocs int64
 				labels []int
 			}
-			measure := func(m phase2Mode) (modeOut, error) {
+			measure := func(perPoint bool) (modeOut, error) {
 				var out modeOut
 				for round := 0; round < phase2Rounds; round++ {
 					mcfg := cfg
-					mcfg.DisableSoA = m.disableSoA
-					mcfg.DisableBatching = m.disableBatching
+					mcfg.DisableBatching = perPoint
 					cl := engine.New(s.Workers)
 					cl.Sink = obs.NewSink(slog.Default())
 					res, err := core.Run(pts, mcfg, cl)
@@ -115,27 +104,24 @@ func Phase2(s Scale) ([]Phase2Row, error) {
 				}
 				return out, nil
 			}
-			modes := []phase2Mode{
-				{name: "blocked"},
-				{name: "batched", disableSoA: true},
-			}
+			modes := []string{"blocked"}
 			if dim == 2 {
-				modes = append(modes, phase2Mode{name: "per-point", disableBatching: true})
+				modes = append(modes, "per-point")
 			}
 			outs := make([]modeOut, len(modes))
-			for i, m := range modes {
+			for i, mode := range modes {
 				var err error
-				if outs[i], err = measure(m); err != nil {
+				if outs[i], err = measure(mode == "per-point"); err != nil {
 					return nil, err
 				}
 			}
-			blocked, batched := outs[0], outs[1]
+			blocked, perPoint := outs[0], outs[len(outs)-1]
 			np := float64(pts.N())
-			for i, m := range modes {
+			for i, mode := range modes {
 				o := outs[i]
 				sec := o.stage.Seconds()
 				r := Phase2Row{
-					Mode: m.name, N: pts.N(), Dim: pts.Dim,
+					Mode: mode, N: pts.N(), Dim: pts.Dim,
 					StageMillis: float64(o.stage.Microseconds()) / 1e3,
 					NsPerOp:     float64(o.stage.Nanoseconds()) / np,
 					AllocsPerOp: float64(o.allocs) / np,
@@ -144,8 +130,8 @@ func Phase2(s Scale) ([]Phase2Row, error) {
 				if sec > 0 {
 					r.PointsPerSec = np / sec
 				}
-				if o.stage > 0 {
-					r.Speedup = float64(batched.stage) / float64(o.stage)
+				if len(modes) > 1 && o.stage > 0 {
+					r.Speedup = float64(perPoint.stage) / float64(o.stage)
 				}
 				rows = append(rows, r)
 			}

@@ -3,6 +3,8 @@ package registry
 import (
 	"encoding/binary"
 	"fmt"
+
+	"rpdbscan/internal/frame"
 )
 
 // Manifest wire format, following the RPD2/RPM1/RPS1 conventions: a magic
@@ -52,22 +54,9 @@ const (
 	headLen = 4 + 8 + 8 + 8
 )
 
-// fnv64a is the FNV-1a checksum shared with the RPD2/RPM1/RPS1 formats.
-func fnv64a(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint64(b[i])) * prime64
-	}
-	return h
-}
-
 // chainSeed is the chain value "before the first record": a constant
 // derived from the magic so an empty ledger still has a well-defined tip.
-func chainSeed() uint64 { return fnv64a([]byte(manifestMagic)) }
+func chainSeed() uint64 { return frame.Sum64([]byte(manifestMagic)) }
 
 // chainNext folds one frame into the chain: the predecessor's chain value,
 // then the frame's length field, then its body.
@@ -75,15 +64,7 @@ func chainNext(prev uint64, bodyLen uint32, body []byte) uint64 {
 	var pre [12]byte
 	binary.BigEndian.PutUint64(pre[0:], prev)
 	binary.BigEndian.PutUint32(pre[8:], bodyLen)
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, b := range pre {
-		h = (h ^ uint64(b)) * prime64
-	}
-	for i := 0; i < len(body); i++ {
-		h = (h ^ uint64(body[i])) * prime64
-	}
-	return h
+	return frame.Add(frame.Sum64(pre[:]), body)
 }
 
 // Record is one manifest entry: the provenance of one published model
@@ -276,7 +257,7 @@ func encodeHead(count int64, tip uint64) []byte {
 	copy(buf, headMagic)
 	binary.BigEndian.PutUint64(buf[12:], uint64(count))
 	binary.BigEndian.PutUint64(buf[20:], tip)
-	binary.BigEndian.PutUint64(buf[4:], fnv64a(buf[12:]))
+	binary.BigEndian.PutUint64(buf[4:], frame.Sum64(buf[12:]))
 	return buf
 }
 
@@ -285,7 +266,7 @@ func decodeHead(buf []byte) (count int64, tip uint64, err error) {
 	if len(buf) != headLen || string(buf[:4]) != headMagic {
 		return 0, 0, fmt.Errorf("registry: bad HEAD file (%d bytes)", len(buf))
 	}
-	if got := binary.BigEndian.Uint64(buf[4:]); got != fnv64a(buf[12:]) {
+	if got := binary.BigEndian.Uint64(buf[4:]); got != frame.Sum64(buf[12:]) {
 		return 0, 0, fmt.Errorf("registry: HEAD checksum mismatch")
 	}
 	count = int64(binary.BigEndian.Uint64(buf[12:]))

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"rpdbscan/internal/frame"
 	"rpdbscan/internal/obs"
 )
 
@@ -68,7 +69,7 @@ var legacyArtifactRe = regexp.MustCompile(`^model-(\d+)-([0-9a-f]{16})\.rpm1$`)
 // FNV-1a sum of everything after the checksum field, which is also the
 // value stored in the artifact's own header.
 func ArtifactHash(buf []byte) uint64 {
-	return fnv64a(buf[artifactChecksumStart:])
+	return frame.Sum64(buf[artifactChecksumStart:])
 }
 
 // checkArtifact verifies the RPM1 integrity envelope and, when want is
@@ -303,8 +304,8 @@ func (r *Registry) writeHead(count int64, tip uint64) error {
 
 // importLegacy publishes pre-registry model-<v>-<hash>.rpm1 artifacts
 // from the registry root into the ledger, version-ascending, chaining
-// parents in import order — so `registry.Open(dir).Head()` on a PR 9
-// model dir resolves exactly what LoadNewest resolved.
+// parents in import order — so `registry.Open(dir).Head()` on a
+// pre-registry model dir resolves its newest valid artifact.
 func (r *Registry) importLegacy() error {
 	entries, err := os.ReadDir(r.dir)
 	if err != nil {
@@ -343,7 +344,7 @@ func (r *Registry) importLegacy() error {
 		}
 		sum, err := checkArtifact(buf, 0)
 		if err != nil {
-			continue // invalid legacy artifacts are skipped, as LoadNewest did
+			continue // invalid legacy artifacts are skipped
 		}
 		if _, err := r.Publish(buf, Record{
 			Version:   l.version,
@@ -854,7 +855,7 @@ func (r *Registry) GC() ([]string, error) {
 	}
 
 	// Legacy artifacts in the registry root: remove the ones that are
-	// invalid (LoadNewest would have skipped them forever) or already
+	// invalid (import skips them forever) or already
 	// content-addressed in the blob store.
 	rootEntries, err := os.ReadDir(r.dir)
 	if err != nil {

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rpdbscan/internal/frame"
 )
 
 // backdate ages a file past the GC grace window.
@@ -41,7 +43,7 @@ func testArtifact(seed int) []byte {
 	buf = append(buf, 0b11) // both core
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(float64(seed)))
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(float64(seed)+0.25))
-	binary.BigEndian.PutUint64(buf[4:], fnv64a(buf[artifactChecksumStart:]))
+	binary.BigEndian.PutUint64(buf[4:], frame.Sum64(buf[artifactChecksumStart:]))
 	return buf
 }
 
@@ -679,7 +681,7 @@ func TestPublishRejectsNegativeFields(t *testing.T) {
 
 // TestLegacyImport: Open over a PR 9 style model dir (bare
 // model-<v>-<hash>.rpm1 files) imports every valid artifact in version
-// order with chained parents, so Head() resolves what LoadNewest did.
+// order with chained parents, so Head() resolves the newest valid one.
 func TestLegacyImport(t *testing.T) {
 	dir := t.TempDir()
 	a1, a2 := testArtifact(1), testArtifact(2)
@@ -690,7 +692,7 @@ func TestLegacyImport(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("model-2-%016x.rpm1", h2)), a2, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// An invalid artifact is skipped, exactly as LoadNewest skipped it.
+	// An invalid artifact is skipped.
 	if err := os.WriteFile(filepath.Join(dir, "model-3-ffffffffffffffff.rpm1"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"rpdbscan/internal/frame"
 )
 
 // Binary model-artifact format, following the RPD2 wire conventions of
@@ -34,27 +36,13 @@ const checksumStart = 4 + 8
 // modelHeaderLen is the full fixed header size.
 const modelHeaderLen = checksumStart + 2 + 4 + 4 + 4 + 8 + 8
 
-// fnv64a is the checksum over the artifact body (same function as the
-// dictionary wire format's).
-func fnv64a(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint64(b[i])) * prime64
-	}
-	return h
-}
-
 // Reseal recomputes and patches the artifact checksum in place, returning
 // buf. Like dict.Reseal it exists so fuzzers can mutate encoded bytes and
 // still reach the parser behind the checksum gate; production encoders
 // never need it.
 func Reseal(buf []byte) []byte {
 	if len(buf) >= checksumStart && string(buf[:4]) == modelMagic {
-		binary.BigEndian.PutUint64(buf[4:], fnv64a(buf[checksumStart:]))
+		binary.BigEndian.PutUint64(buf[4:], frame.Sum64(buf[checksumStart:]))
 	}
 	return buf
 }
@@ -85,7 +73,7 @@ func (m *Model) Encode() []byte {
 	for _, v := range m.coords {
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	binary.BigEndian.PutUint64(buf[4:], fnv64a(buf[checksumStart:]))
+	binary.BigEndian.PutUint64(buf[4:], frame.Sum64(buf[checksumStart:]))
 	return buf
 }
 
@@ -104,7 +92,7 @@ func Decode(buf []byte) (*Model, error) {
 	if len(buf) < modelHeaderLen || string(buf[:4]) != modelMagic {
 		return nil, fmt.Errorf("serve: bad model header")
 	}
-	if got := binary.BigEndian.Uint64(buf[4:]); got != fnv64a(buf[checksumStart:]) {
+	if got := binary.BigEndian.Uint64(buf[4:]); got != frame.Sum64(buf[checksumStart:]) {
 		return nil, fmt.Errorf("serve: model checksum mismatch")
 	}
 	off := checksumStart

@@ -6,9 +6,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"rpdbscan/internal/frame"
 )
 
 // FuzzModelDecode checks that Decode never panics, never over-allocates on
@@ -41,7 +41,7 @@ func FuzzModelDecode(f *testing.F) {
 			if enc := m.Encode(); !bytes.Equal(enc, buf) {
 				t.Fatalf("accepted artifact is not canonical: %d bytes in, %d out", len(buf), len(enc))
 			}
-			if m.Checksum() != fnv64a(buf[checksumStart:]) {
+			if m.Checksum() != frame.Sum64(buf[checksumStart:]) {
 				t.Fatalf("accepted artifact's checksum %016x is not its body's", m.Checksum())
 			}
 			// An accepted model must be servable: predicting the origin
@@ -144,65 +144,6 @@ func FuzzIngestRequest(f *testing.F) {
 		if w.Code != http.StatusOK && r.Buffer().Total() != before {
 			t.Fatalf("rejected request grew the buffer: %d -> %d points (body %q)",
 				before, r.Buffer().Total(), body)
-		}
-	})
-}
-
-// FuzzLoadNewest drops hostile bytes into a model directory alongside one
-// known-good versioned artifact: the loader must never panic, must never
-// boot a corrupt artifact, and must fall back to the valid generation
-// whenever the newer file fails its gates. An input that genuinely decodes
-// is also planted under its true artifact name and must then win as the
-// newer version.
-func FuzzLoadNewest(f *testing.F) {
-	validModel := fit(f, blobPoints(rand.New(rand.NewSource(3)), 40, 2), 0.3, 4)
-	valid := validModel.Encode()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte("RPM1"))
-	f.Add([]byte{})
-	mut := bytes.Clone(valid)
-	mut[checksumStart+2] ^= 0xff
-	f.Add(mut)
-	f.Add(Reseal(bytes.Clone(mut)))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		write := func(name string, buf []byte) {
-			if err := os.WriteFile(filepath.Join(dir, name), buf, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		write(artifactName(3, validModel.Checksum()), valid)
-		// The hostile bytes claim version 7 with a checksum name they
-		// almost certainly do not have...
-		write("model-7-0123456789abcdef.rpm1", data)
-		// ...and, when they do decode, are also planted under their true
-		// name, which the loader has no grounds to reject.
-		wantVersion := int64(3)
-		if m, err := Decode(data); err == nil {
-			write(artifactName(7, m.Checksum()), data)
-			wantVersion = 7
-		}
-		// Undecodable junk that happens to match the claimed name is
-		// possible only if Decode accepts it — covered above.
-
-		m, v, err := LoadNewest(dir)
-		if err != nil {
-			t.Fatalf("LoadNewest errored instead of skipping: %v", err)
-		}
-		if m == nil {
-			t.Fatal("LoadNewest found nothing despite a valid generation 3")
-		}
-		if v != wantVersion {
-			t.Fatalf("booted version %d, want %d", v, wantVersion)
-		}
-		if v == 3 && m.Info().Checksum != validModel.Info().Checksum {
-			t.Fatal("booted generation 3 with the wrong artifact")
-		}
-		// Whatever booted must be servable.
-		if _, err := m.Predict(make([]float64, m.Dim())); err != nil {
-			t.Fatalf("booted model cannot predict: %v", err)
 		}
 	})
 }

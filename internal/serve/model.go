@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"rpdbscan/internal/frame"
 	"rpdbscan/internal/geom"
 	"rpdbscan/internal/kdtree"
 )
@@ -123,14 +124,14 @@ func (m *Model) finish(enc []byte) {
 		enc = m.Encode()
 	}
 	m.artifactBytes = len(enc)
-	m.checksum = fnv64a(enc[checksumStart:])
+	m.checksum = frame.Sum64(enc[checksumStart:])
 }
 
 // Dim returns the model's point dimensionality.
 func (m *Model) Dim() int { return m.dim }
 
 // Checksum returns the artifact's raw FNV-1a checksum (the value Info
-// renders as "fnv1a:%016x"). Versioned artifact filenames embed it.
+// renders as "fnv1a:%016x"). Registry blob names embed it.
 func (m *Model) Checksum() uint64 { return m.checksum }
 
 // Len returns the number of training points.

@@ -5,17 +5,14 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"os"
-	"path/filepath"
-	"regexp"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rpdbscan/internal/core"
 	"rpdbscan/internal/engine"
+	"rpdbscan/internal/frame"
 	"rpdbscan/internal/geom"
 	"rpdbscan/internal/obs"
 	"rpdbscan/internal/pointio"
@@ -246,7 +243,7 @@ func configFingerprint(cfg RefitConfig) uint64 {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(cfg.Seed))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(chunk))
 	buf = append(buf, cfg.Backend...)
-	return fnv64a(buf)
+	return frame.Sum64(buf)
 }
 
 // Watermark returns the refit cadence in points.
@@ -518,77 +515,4 @@ func (r *Refitter) publish(m *Model, version, watermark int64, parent uint64, fi
 		return "", fmt.Errorf("serve: validate artifact %016x: %w", sum, err)
 	}
 	return path, nil
-}
-
-// artifactName formats the versioned artifact filename. The embedded hash
-// is the RPM1 content checksum, so the name itself is tamper-evident:
-// LoadNewest rejects files whose contents do not hash to their name.
-func artifactName(version int64, checksum uint64) string {
-	return fmt.Sprintf("model-%d-%016x.rpm1", version, checksum)
-}
-
-// artifactRe matches versioned artifact names; submatches are version and
-// checksum.
-var artifactRe = regexp.MustCompile(`^model-([0-9]+)-([0-9a-f]{16})\.rpm1$`)
-
-// LoadNewest scans a model directory and loads the newest valid versioned
-// artifact: highest version whose name parses, whose contents hash to the
-// checksum embedded in the name, and whose body decodes. Invalid files —
-// truncated, bit-flipped, misnamed, or alien — are skipped, never fatal,
-// so one corrupt artifact cannot stop a server from booting an older good
-// generation. Returns (nil, 0, nil) when the directory holds no valid
-// artifact.
-func LoadNewest(dir string) (*Model, int64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, 0, fmt.Errorf("serve: model dir: %w", err)
-	}
-	type cand struct {
-		version  int64
-		checksum uint64
-		name     string
-	}
-	var cands []cand
-	for _, e := range entries {
-		sub := artifactRe.FindStringSubmatch(e.Name())
-		if sub == nil {
-			continue
-		}
-		v, err := strconv.ParseInt(sub[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		sum, err := strconv.ParseUint(sub[2], 16, 64)
-		if err != nil {
-			continue
-		}
-		cands = append(cands, cand{version: v, checksum: sum, name: e.Name()})
-	}
-	// Try candidates newest-first; the first one that fully validates
-	// wins.
-	for {
-		best := -1
-		for i, c := range cands {
-			if best < 0 || c.version > cands[best].version {
-				best = i
-			}
-		}
-		if best < 0 {
-			return nil, 0, nil
-		}
-		c := cands[best]
-		cands = append(cands[:best], cands[best+1:]...)
-		buf, err := os.ReadFile(filepath.Join(dir, c.name))
-		if err != nil {
-			continue
-		}
-		m, err := Decode(buf)
-		if err != nil {
-			continue // truncated or bit-flipped: skip to the next-newest
-		}
-		if m.Checksum() != c.checksum {
-			continue // contents do not match the name: tampered, skip
-		}
-		return m, c.version, nil
-	}
 }

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"time"
 
+	"rpdbscan/internal/frame"
 	"rpdbscan/internal/obs"
 )
 
@@ -96,7 +97,7 @@ func (ab *ABConfig) RouteBatch(points [][]float64) bool {
 }
 
 func (ab *ABConfig) route(body []byte) bool {
-	return fnv64a(body)%1000 < uint64(ab.SplitMilli)
+	return frame.Sum64(body)%1000 < uint64(ab.SplitMilli)
 }
 
 // pick resolves a routing decision to its snapshot.
@@ -423,7 +424,7 @@ func (s *Server) injected(w http.ResponseWriter, path string, body []byte) bool 
 	if s.cfg.Injector == nil {
 		return false
 	}
-	task := int(fnv64a(body) & 0x7fffffff)
+	task := int(frame.Sum64(body) & 0x7fffffff)
 	if !s.cfg.Injector.FailTask(path, task, 0) {
 		return false
 	}

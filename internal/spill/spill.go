@@ -23,6 +23,7 @@ import (
 	"sort"
 	"sync"
 
+	"rpdbscan/internal/frame"
 	"rpdbscan/internal/grid"
 )
 
@@ -84,21 +85,8 @@ func EncodeRun(chunk, dim int, cells []RunCell) []byte {
 			off += 8
 		}
 	}
-	binary.BigEndian.PutUint64(buf[4:], fnv64a(buf[12:]))
+	binary.BigEndian.PutUint64(buf[4:], frame.Sum64(buf[12:]))
 	return buf
-}
-
-// fnv64a is the FNV-1a checksum shared with the RPD2 dictionary format.
-func fnv64a(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint64(b[i])) * prime64
-	}
-	return h
 }
 
 // trailer is the decoded end-of-file record: the run count and payload
@@ -116,7 +104,7 @@ func EncodeTrailer(numRuns int, payloadBytes int64) []byte {
 	binary.BigEndian.PutUint32(buf[12:], bodyLen)
 	binary.BigEndian.PutUint32(buf[16:], uint32(numRuns))
 	binary.BigEndian.PutUint64(buf[20:], uint64(payloadBytes))
-	binary.BigEndian.PutUint64(buf[4:], fnv64a(buf[12:]))
+	binary.BigEndian.PutUint64(buf[4:], frame.Sum64(buf[12:]))
 	return buf
 }
 
@@ -153,13 +141,7 @@ func readRun(br *bufio.Reader) (*Run, *trailer, error) {
 		}
 		body = append(body, step[:n]...)
 	}
-	h := fnv64a(head[12:16])
-	// Continue the checksum over the body without re-concatenating.
-	const prime64 = 1099511628211
-	for i := 0; i < len(body); i++ {
-		h = (h ^ uint64(body[i])) * prime64
-	}
-	if h != want {
+	if frame.Add(frame.Sum64(head[12:16]), body) != want {
 		return nil, nil, fmt.Errorf("spill: run checksum mismatch")
 	}
 	if isTrailer {
@@ -257,7 +239,7 @@ func DecodeRun(buf []byte) (*Run, int, error) {
 		return nil, 0, fmt.Errorf("spill: truncated run body (%d of %d bytes)",
 			len(buf)-headerSize, bodyLen)
 	}
-	if fnv64a(buf[12:headerSize+bodyLen]) != want {
+	if frame.Sum64(buf[12:headerSize+bodyLen]) != want {
 		return nil, 0, fmt.Errorf("spill: run checksum mismatch")
 	}
 	r, err := parseBody(buf[headerSize : headerSize+bodyLen])

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rpdbscan/internal/engine"
+	"rpdbscan/internal/frame"
 )
 
 // Endpoint is one live worker process as the transport sees it: an HTTP
@@ -206,7 +207,7 @@ func (p *Proc) Invoke(stage, handler string, task, attempt int, input []byte) ([
 		}
 	}
 	body := input
-	sum := engine.Checksum64(input)
+	sum := frame.Sum64(input)
 	if reqCorrupt {
 		body = append([]byte(nil), input...)
 		body[0] ^= 0x80 // one flipped bit on the wire; the checksum header still promises the original
@@ -239,7 +240,7 @@ func (p *Proc) Invoke(stage, handler string, task, attempt int, input []byte) ([
 			want ^= 1 // nothing to flip; fail verification so injector tally and ledger stay 1:1
 		}
 	}
-	if err != nil || engine.Checksum64(respBody) != want {
+	if err != nil || frame.Sum64(respBody) != want {
 		p.cl.ChargeChecksumReject(stage, task, attempt, 1, int64(len(respBody)))
 		return nil, fmt.Errorf("worker %d stage %q task %d: response frame failed verification", w, stage, task)
 	}

@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"rpdbscan/internal/engine"
+	"rpdbscan/internal/frame"
 )
 
 const (
@@ -106,7 +107,7 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 		if hi > len(body) {
 			hi = len(body)
 		}
-		if engine.Checksum64(body[lo:hi]) != sums[c] {
+		if frame.Sum64(body[lo:hi]) != sums[c] {
 			http.Error(w, fmt.Sprintf("chunk %d", c), http.StatusConflict)
 			return
 		}
@@ -137,7 +138,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad "+hdrBodySum, http.StatusBadRequest)
 		return
 	}
-	if engine.Checksum64(body) != want {
+	if frame.Sum64(body) != want {
 		http.Error(w, "request body", http.StatusConflict)
 		return
 	}
@@ -152,7 +153,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set(hdrBodySum, strconv.FormatUint(engine.Checksum64(out), 16))
+	w.Header().Set(hdrBodySum, strconv.FormatUint(frame.Sum64(out), 16))
 	w.Write(out)
 }
 

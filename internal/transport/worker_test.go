@@ -16,6 +16,7 @@ import (
 	"rpdbscan/internal/core"
 	"rpdbscan/internal/datagen"
 	"rpdbscan/internal/engine"
+	"rpdbscan/internal/frame"
 	"rpdbscan/internal/transport"
 )
 
@@ -40,7 +41,7 @@ func postInvoke(srv http.Handler, handler string, task int, body []byte, sum str
 	return rr
 }
 
-func sumOf(b []byte) string { return strconv.FormatUint(engine.Checksum64(b), 16) }
+func sumOf(b []byte) string { return strconv.FormatUint(frame.Sum64(b), 16) }
 
 // TestWorkerServerRoutes pins the worker-side HTTP contract: healthz,
 // verified blob install, per-chunk 409 rejection, request-body 409, 404

@@ -73,23 +73,6 @@ func LoadModel(r io.Reader) (*Model, error) {
 	return &Model{m: sm}, nil
 }
 
-// LatestModel loads the newest valid versioned artifact
-// (model-<version>-<hash>.rpm1) from a model directory written by
-// rpserve's online refit loop, returning the model and its version.
-// Corrupt, truncated, or misnamed artifacts are skipped in favour of the
-// next-newest valid one; an empty or artifact-free directory returns
-// (nil, 0, nil).
-func LatestModel(dir string) (*Model, int64, error) {
-	sm, v, err := serve.LoadNewest(dir)
-	if err != nil {
-		return nil, 0, fmt.Errorf("rpdbscan: %w", err)
-	}
-	if sm == nil {
-		return nil, 0, nil
-	}
-	return &Model{m: sm}, v, nil
-}
-
 // Predict classifies one point under the fitted clustering: the cluster id
 // of the nearest core point within Eps, or Noise when none qualifies.
 func (m *Model) Predict(point []float64) (int, error) {

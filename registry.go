@@ -15,8 +15,8 @@ import (
 // the CLI face of the same API.
 //
 // A directory holding only legacy model-<version>-<hash>.rpm1 artifacts
-// (written before the registry existed) is imported on first open, so
-// OpenModelRegistry subsumes LatestModel.
+// (written before the registry existed) is imported on first open, and
+// Head then resolves the newest valid one.
 type ModelRegistry struct {
 	reg *registry.Registry
 }

@@ -35,11 +35,10 @@ func fitRegistryModel(t *testing.T) (*rpdbscan.Model, []byte) {
 	return m, buf.Bytes()
 }
 
-// TestModelRegistryImportsLegacyDir proves OpenModelRegistry subsumes
-// LatestModel: a directory holding only a legacy versioned artifact
-// (model-<version>-<hash>.rpm1, the pre-registry layout) imports on open,
-// serves the same model by head / hash / version, and passes a full
-// verify — while LatestModel keeps reading the same directory unchanged.
+// TestModelRegistryImportsLegacyDir: a directory holding only a legacy
+// versioned artifact (model-<version>-<hash>.rpm1, the pre-registry
+// layout) imports on open, resolves as Head with its version and hash,
+// serves the same model by hash and version, and passes a full verify.
 func TestModelRegistryImportsLegacyDir(t *testing.T) {
 	m, art := fitRegistryModel(t)
 	dir := t.TempDir()
@@ -49,16 +48,6 @@ func TestModelRegistryImportsLegacyDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The legacy reader sees the artifact...
-	lm, v, err := rpdbscan.LatestModel(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lm == nil || v != 7 {
-		t.Fatalf("LatestModel = %v version %d, want version 7", lm, v)
-	}
-
-	// ...and the registry imports it with identical identity.
 	reg, err := rpdbscan.OpenModelRegistry(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -101,10 +90,6 @@ func TestModelRegistryImportsLegacyDir(t *testing.T) {
 		t.Fatalf("records = %+v, want one record tagged imported", recs)
 	}
 
-	// LatestModel still answers over the untouched legacy file.
-	if lm2, v2, err := rpdbscan.LatestModel(dir); err != nil || lm2 == nil || v2 != 7 {
-		t.Fatalf("LatestModel after import = %v version %d (%v)", lm2, v2, err)
-	}
 }
 
 // TestModelRegistryUnknownLookups pins the not-found paths.
