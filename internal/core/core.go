@@ -476,11 +476,11 @@ func phase2Task(pts *geom.Points, cfg Config, st *partState, d *dict.Dictionary,
 				}
 			}
 		} else {
-			b := q.QueryCell(cell.Key)
 			blk.Gather(pts, cell.Points)
+			b := q.QueryCell(cell.Key, blk)
 			np := len(cell.Points)
 			counts, sel := scratch.counts[:np], scratch.sel[:np]
-			b.CountPoints(blk, minPts, counts)
+			b.CountPoints(minPts, counts)
 			for i, pi := range cell.Points {
 				sel[i] = counts[i] >= minPts
 				if sel[i] {
@@ -492,7 +492,7 @@ func phase2Task(pts *geom.Points, cfg Config, st *partState, d *dict.Dictionary,
 				// the blocked kernel answers the union over the cell's core
 				// points directly; fully-inside candidates neighbor every
 				// point and join once.
-				neighborCells = b.AppendNeighborsBlock(blk, sel, neighborCells[:0])
+				neighborCells = b.AppendNeighborsBlock(sel, neighborCells[:0])
 				nc.add(neighborCells)
 				nc.add(b.InsideCells())
 			}

@@ -119,4 +119,17 @@ func BenchmarkPhaseII(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g.pts.N()), "ns/point")
 	})
+	// teraclick is the d > 4 path the stencil bypasses: a 13-d
+	// TeraClick-like fixture at eps=6, where about one point lands in each
+	// sub-cell and candidates come from the dictionary's hull trees.
+	b.Run("teraclick", func(b *testing.B) {
+		tc := newPhase2FixtureFor(b, datagen.SimTeraClick(20_000, 1).Points,
+			Config{Eps: 6, MinPts: 20, Rho: 0.01, NumPartitions: 2})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tc.run(false)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tc.pts.N()), "ns/point")
+	})
 }

@@ -3,20 +3,21 @@ package dict
 // Cell-batched (eps,rho)-region queries. Phase II answers one region query
 // per point, but every point of a cell shares the same candidate-cell set:
 // any cell contributing a qualifying sub-cell to some point of the query
-// cell must have its box within eps of the query cell's box. QueryCell
-// therefore gathers candidates ONCE per owned cell — a stencil enumeration
-// for d <= 4 (stencil.go), an index traversal otherwise — classifies each
-// candidate against the whole cell box — fully inside (the box extension
-// of the Example 5.5 far-corner containment test: every sub-cell centre is
-// within eps of every point of the query cell) or boundary — and the
-// per-point work shrinks to residual checks against boundary candidates
-// plus a precomputed inside total.
+// cell must have its sub-centre hull within eps of the bounding box of the
+// cell's points. QueryCell therefore gathers candidates ONCE per owned
+// cell — a stencil enumeration for d <= 4 (stencil.go), a walk of each
+// sub-dictionary's hull tree otherwise — and classifies every candidate
+// with one test, boxPair of its hull against that point box: beyond eps of
+// the whole box (dropped), within eps of all of it (inside: the box
+// extension of the Example 5.5 far-corner containment test, every sub-cell
+// centre is within eps of every point of the cell), or neither (boundary).
+// The per-point work shrinks to residual checks against boundary
+// candidates plus a precomputed inside total.
 //
-// The classification is conservative in the safe direction only: a
-// candidate that fails the inside test falls back to exactly the per-point
-// arithmetic of Querier.Query, so batched and per-point results are
-// identical (the equivalence tests in this package and internal/core pin
-// this). Query remains the correctness oracle; core's DisableBatching
+// Every test is a floating-point monotone bound of the Dist2 values it
+// stands for (see boxPair and hullDist2), so batched and per-point results
+// are identical (the equivalence tests in this package and internal/core
+// pin this). Query remains the correctness oracle; core's DisableBatching
 // flag selects it.
 
 import (
@@ -34,7 +35,9 @@ import (
 type batchCand struct {
 	id    int32
 	total int64 // the cell's point count: the sum of its sub-cell counts
-	off   int   // offset of this candidate's hull (lo then hi) in the arena
+	// hull is the cell's sub-centre hull, the per-dimension minimum then
+	// maximum centre coordinate, shared with the dictionary.
+	hull []float64
 	// centersT are the candidate's sub-cell centres, decoded once at
 	// dictionary build time, in dimension-major lanes; counts are the
 	// matching per-sub-cell point counts.
@@ -50,15 +53,11 @@ type batchCand struct {
 type CellBatch struct {
 	dim  int
 	eps2 float64
+	blk  *geom.Block // the query cell's gathered points
 
 	insideCount int64
 	insideIDs   []int32
 	cands       []batchCand
-	// hulls is the flat arena of boundary-candidate sub-centre hulls:
-	// per candidate, the per-dimension minimum then maximum centre
-	// coordinate.
-	hulls    []float64
-	qlo, qhi []float64 // query cell box, slack-inflated
 
 	// Scratch of the blocked kernels (CountPoints and
 	// AppendNeighborsBlock), reused across calls: per-point near/far hull
@@ -99,149 +98,76 @@ func (b *CellBatch) NumBoundary() int { return len(b.cands) }
 
 // hull returns candidate c's sub-centre hull.
 func (b *CellBatch) hull(c *batchCand) (lo, hi []float64) {
-	return b.hulls[c.off : c.off+b.dim], b.hulls[c.off+b.dim : c.off+2*b.dim]
+	return c.hull[:b.dim], c.hull[b.dim:]
 }
 
-// addCand appends cell id, whose cell box starts at origin, as a boundary
-// candidate.
-func (b *CellBatch) addCand(d *Dictionary, id int32, origin []float64) {
-	off := len(b.hulls)
-	b.hulls = append(b.hulls, origin...)
-	b.hulls = append(b.hulls, origin...)
-	d.hullBox(id, origin, b.hulls[off:off+b.dim], b.hulls[off+b.dim:off+2*b.dim])
-	centersT, counts := d.lanes(id)
-	b.cands = append(b.cands, batchCand{
-		id:       id,
-		total:    int64(d.byID[id].Count),
-		off:      off,
-		centersT: centersT,
-		counts:   counts,
-	})
-}
-
-// QueryCell performs one batched (eps,rho)-region query for the cell key,
-// which must be an owned, non-empty cell of the dictionary's grid. Low-
-// dimensional dictionaries enumerate the candidates from their stencil
-// (stencil.go); otherwise one index traversal per sub-dictionary gathers
-// the candidates shared by all of the cell's points. See the package
-// comment on batch.go for the classification. The returned batch is
-// reused by the next QueryCell call.
-func (q *Querier) QueryCell(key grid.Key) *CellBatch {
+// QueryCell performs one batched (eps,rho)-region query for the points of
+// blk, which must be the gathered points of cell key, an owned, non-empty
+// cell of the dictionary's grid. Low-dimensional dictionaries enumerate
+// the candidates from their stencil (stencil.go); otherwise one walk of
+// each sub-dictionary's hull tree gathers every cell whose hull lies
+// within eps of the points' bounding box. See the comment at the top of
+// batch.go for the classification. The returned batch, whose kernels read
+// blk, is reused by the next QueryCell call.
+func (q *Querier) QueryCell(key grid.Key, blk *geom.Block) *CellBatch {
 	d := q.d
 	b := &q.batch
-	b.dim, b.eps2 = d.Dim, d.Eps*d.Eps
+	b.dim, b.eps2, b.blk = d.Dim, d.Eps*d.Eps, blk
 	b.insideCount = 0
 	b.insideIDs = b.insideIDs[:0]
 	b.cands = b.cands[:0]
-	b.hulls = b.hulls[:0]
+	if !b.blockBox(nil) {
+		return b
+	}
 	if d.sten != nil {
 		q.queryStencil(key)
 		return b
 	}
-	key.Origin(d.Side, b.qlo)
-	// Slack absorbs the floating-point quantisation error of grid.KeyFor:
-	// a point can land a few ulps outside its cell's exact box, and every
-	// batch guarantee quantifies over points inside the (inflated) box.
-	// Inflation is conservative: it can only demote a candidate from
-	// inside to boundary, where exact per-point checks decide.
-	slack := d.Side * 1e-9
-	for i := 0; i < d.Dim; i++ {
-		b.qhi[i] = b.qlo[i] + d.Side + slack
-		b.qlo[i] -= slack
-	}
-	qbox := geom.Box{Min: b.qlo, Max: b.qhi}
-	// Candidate filter: every sub-cell centre of a cell lies inside that
-	// cell's box, so a cell can contribute to some point of the query box
-	// only if its box is within eps of it — equivalently, only if its
-	// centre is within eps of the query box inflated by Side/2. One such
-	// traversal per owned cell replaces one traversal per point.
-	for i := 0; i < d.Dim; i++ {
-		q.inflLo[i] = b.qlo[i] - d.Side/2
-		q.inflHi[i] = b.qhi[i] + d.Side/2
-	}
-	infl := geom.Box{Min: q.inflLo, Max: q.inflHi}
-	eps := d.Eps
 	for _, sd := range d.Subs {
-		if sd.MBR.Empty() {
-			continue
-		}
-		if sd.MBR.OutsideBox(qbox, eps) {
-			q.SkippedSubDicts++
-			continue // Lemma 5.10, hoisted from point to cell
-		}
-		q.cand = sd.index(d.Side, d.Dim).InBallBox(infl, eps, q.cand[:0])
-		// Inset for the inside test: sub-cell centres lie at least
-		// SubSide/2 away from their cell's faces, so bmax may bound the
-		// distance to the centre hull rather than the whole box. Without
-		// it the inside class is empty — the grid diagonal equals eps, so
-		// even a cell's own far corner sits exactly at distance eps. The
-		// slack absorbs the FP rounding of the decoded centres.
-		inset := d.SubSide/2 - slack
-		if inset < 0 {
-			inset = 0
-		}
-		for _, ei := range q.cand {
-			e := &sd.Entries[ei]
-			e.Key.Origin(d.Side, q.origin)
-			// Classify against the whole query box. bmin is the squared
-			// box-to-box gap of the full boxes (candidates beyond eps
-			// contribute to no point); bmax bounds, per dimension, every
-			// |p[i]-x[i]| for p in the query box and x in the candidate's
-			// sub-centre hull. bmax <= eps^2 therefore means every centre
-			// qualifies for every point, which yields exactly the oracle's
-			// count and neighbor-cell answers; the slack margins keep that
-			// implication true under floating-point rounding as well.
-			var bmin, bmax float64
-			for i := 0; i < d.Dim; i++ {
-				clo := q.origin[i]
-				chi := clo + d.Side
-				if g := b.qlo[i] - chi; g > 0 {
-					bmin += g * g
-				} else if g := clo - b.qhi[i]; g > 0 {
-					bmin += g * g
-				}
-				hlo := clo + inset
-				hhi := chi - inset
-				m := abs(b.qhi[i] - hlo)
-				if v := abs(hhi - b.qlo[i]); v > m {
-					m = v
-				}
-				if v := abs(b.qlo[i] - hlo); v > m {
-					m = v
-				}
-				if v := abs(hhi - b.qhi[i]); v > m {
-					m = v
-				}
-				bmax += m * m
-			}
-			if bmin > b.eps2 {
-				continue // fully outside: no point of the cell can reach it
-			}
-			if bmax <= b.eps2 {
-				// Fully inside: every sub-cell centre qualifies for every
-				// point of the query cell.
-				b.insideCount += int64(e.Count)
-				b.insideIDs = append(b.insideIDs, e.ID)
-				continue
-			}
-			b.addCand(d, e.ID, q.origin)
+		q.cand = sd.hullTree.WithinGap(b.plo, b.phi, d.Eps, q.cand[:0])
+		for _, id := range q.cand {
+			b.classify(d, int32(id))
 		}
 	}
 	return b
 }
 
-// queryStencil fills the batch from the dictionary's stencil: one row-key
-// probe per stencil row, then a scan of the row's cells within r of the
-// query cell's last coordinate, each classified by its offset alone.
+// classify settles candidate cell id against the bounding box of the
+// block's points (see boxPair): dropped when its hull is beyond eps of the
+// whole box, inside when within eps of all of it, a boundary candidate
+// otherwise.
+func (b *CellBatch) classify(d *Dictionary, id int32) {
+	h := d.hull(id)
+	gap2, span2 := b.boxPair(h)
+	switch {
+	case gap2 > b.eps2:
+	case span2 <= b.eps2:
+		b.insideCount += int64(d.byID[id].Count)
+		b.insideIDs = append(b.insideIDs, id)
+	default:
+		centersT, counts := d.lanes(id)
+		b.cands = append(b.cands, batchCand{
+			id:       id,
+			total:    int64(d.byID[id].Count),
+			hull:     h,
+			centersT: centersT,
+			counts:   counts,
+		})
+	}
+}
+
+// queryStencil classifies the cells the dictionary's stencil reaches: one
+// row-key probe per stencil row, then a scan of the row's cells within r
+// of the query cell's last coordinate, skipping those whose offset alone
+// puts them out of reach.
 func (q *Querier) queryStencil(key grid.Key) {
-	d, s, b := q.d, q.d.sten, &q.batch
-	dim := d.Dim
-	np := dim - 1
+	d, s := q.d, q.d.sten
+	np := d.Dim - 1
 	for i := range q.kc {
 		q.kc[i] = int64(key.Coord(i))
 	}
 	from := q.kc[np] - s.r // last coordinate of a row's first stencil offset
-	for row := 0; row*s.w < len(s.class); row++ {
+	for row := 0; row*s.w < len(s.reach); row++ {
 		off := s.offs[row*np : (row+1)*np]
 		rk, ok := s.rowKey(key, off)
 		if !ok {
@@ -261,32 +187,17 @@ func (q *Querier) queryStencil(key grid.Key) {
 				hi = mid
 			}
 		}
-		cls := s.class[row*s.w : (row+1)*s.w]
+		reach := s.reach[row*s.w : (row+1)*s.w]
 		for id := lo; id < end; id++ {
 			dl := int64(s.last[id]) - from
 			if dl >= int64(s.w) {
 				break
 			}
-			switch cls[dl] {
-			case stenInside:
-				b.insideCount += int64(d.byID[id].Count)
-				b.insideIDs = append(b.insideIDs, id)
-			case stenBoundary:
-				for i, o := range off {
-					q.origin[i] = float64(q.kc[i]+o) * d.Side
-				}
-				q.origin[np] = float64(s.last[id]) * d.Side
-				b.addCand(d, id, q.origin)
+			if reach[dl] {
+				q.batch.classify(d, id)
 			}
 		}
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // candCount runs the per-point residual check against one boundary
@@ -349,13 +260,13 @@ func (b *CellBatch) centerDist2(c *batchCand, p []float64, j int) float64 {
 // lane-major form of hullDist2. The accumulation order (ascending
 // dimension, one addition per dimension per point) matches the scalar
 // loop exactly, so the results are bit-identical.
-func (b *CellBatch) boxLanes(c *batchCand, blk *geom.Block, near, far []float64) {
+func (b *CellBatch) boxLanes(c *batchCand, near, far []float64) {
 	lo, hi := b.hull(c)
 	for i := range near {
 		near[i], far[i] = 0, 0
 	}
 	for dd := 0; dd < b.dim; dd++ {
-		lane := blk.Lane(dd)
+		lane := b.blk.Lane(dd)
 		l, h := lo[dd], hi[dd]
 		for i, p := range lane {
 			d1 := p - l
@@ -379,13 +290,13 @@ func (b *CellBatch) boxLanes(c *batchCand, blk *geom.Block, near, far []float64)
 // candidate c's sub-cell centre j, accumulated over the transposed centre
 // lanes. Dimension-ascending accumulation with one addition per dimension
 // reproduces geom.Dist2 bit-for-bit.
-func (b *CellBatch) subAcc(c *batchCand, blk *geom.Block, i int, acc []float64) {
+func (b *CellBatch) subAcc(c *batchCand, i int, acc []float64) {
 	m := len(acc)
 	for j := range acc {
 		acc[j] = 0
 	}
 	for dd := 0; dd < b.dim; dd++ {
-		p := blk.At(i, dd)
+		p := b.blk.At(i, dd)
 		for j, x := range c.centersT[dd*m : (dd+1)*m] {
 			d := p - x
 			acc[j] += d * d
@@ -427,31 +338,27 @@ func (b *CellBatch) maxSubs() int {
 	return m
 }
 
-// CountPoints answers the (eps,rho)-region count of every point of blk —
-// the gathered query cell — into counts (len blk.N()). The sweep is
-// candidate-outer, point-inner, so each candidate's hull and centre lanes
-// stay hot while every point's residual is evaluated against them in dense
-// per-dimension loops.
+// CountPoints answers the (eps,rho)-region count of every point of the
+// batch's block into counts (len blk.N()). The sweep is candidate-outer,
+// point-inner, so each candidate's hull and centre lanes stay hot while
+// every point's residual is evaluated against them in dense per-dimension
+// loops.
 //
 // With stopAt <= 0 every count is exact. With stopAt > 0 a candidate is
 // skipped for point i once counts[i] >= stopAt: callers testing
 // count >= MinPts (Algorithm 3 lines 7-9) need no exact total, and the
 // early exit cannot change the core decision because counts only grow as
 // more candidates are scanned.
-func (b *CellBatch) CountPoints(blk *geom.Block, stopAt int64, counts []int64) {
-	n := blk.N()
+func (b *CellBatch) CountPoints(stopAt int64, counts []int64) {
+	n := b.blk.N()
 	for i := 0; i < n; i++ {
 		counts[i] = b.insideCount
 	}
-	if n == 0 || len(b.cands) == 0 {
+	if n == 0 || len(b.cands) == 0 || stopAt > 0 && b.insideCount >= stopAt {
 		return
 	}
 	near, far, acc := b.grow(n, b.maxSubs())
 	remaining := n
-	if stopAt > 0 && b.insideCount >= stopAt {
-		return
-	}
-	b.blockBox(blk, nil)
 	for ci := range b.cands {
 		c := &b.cands[ci]
 		// The dense sweep pays O(points x dim) per candidate no matter how
@@ -460,32 +367,10 @@ func (b *CellBatch) CountPoints(blk *geom.Block, stopAt int64, counts []int64) {
 		// same candidates in the same order under the same skip rule, so
 		// the counts are unchanged.
 		if stopAt > 0 && remaining*4 <= n {
-			b.countTail(blk, ci, stopAt, counts)
+			b.countTail(ci, stopAt, counts)
 			return
 		}
-		// The block's bounding box settles a candidate for every point at
-		// once when its hull is beyond eps of all of them, or within eps
-		// of all of them: the per-point near/far tests would each decide
-		// the same way (see boxPair).
-		gap2, span2, _, _ := b.boxPair(c)
-		if gap2 > b.eps2 {
-			continue
-		}
-		if span2 <= b.eps2 {
-			for i := range counts {
-				if stopAt <= 0 || counts[i] < stopAt {
-					counts[i] += c.total
-					if stopAt > 0 && counts[i] >= stopAt {
-						remaining--
-					}
-				}
-			}
-			if stopAt > 0 && remaining == 0 {
-				return
-			}
-			continue
-		}
-		b.boxLanes(c, blk, near, far)
+		b.boxLanes(c, near, far)
 		for i := 0; i < n; i++ {
 			if stopAt > 0 && counts[i] >= stopAt {
 				continue
@@ -497,7 +382,7 @@ func (b *CellBatch) CountPoints(blk *geom.Block, stopAt int64, counts []int64) {
 				counts[i] += c.total
 			} else {
 				sub := acc[:len(c.counts)]
-				b.subAcc(c, blk, i, sub)
+				b.subAcc(c, i, sub)
 				for j, a := range sub {
 					if a <= b.eps2 {
 						counts[i] += int64(c.counts[j])
@@ -519,12 +404,12 @@ func (b *CellBatch) CountPoints(blk *geom.Block, stopAt int64, counts []int64) {
 // the remaining candidates with the scalar residual check, stopping at
 // stopAt under the same skip rule. The (point, candidate) residual set —
 // and so every count — matches the dense sweep continuing to the end.
-func (b *CellBatch) countTail(blk *geom.Block, ci0 int, stopAt int64, counts []int64) {
+func (b *CellBatch) countTail(ci0 int, stopAt int64, counts []int64) {
 	for i := range counts {
 		if counts[i] >= stopAt {
 			continue
 		}
-		pt := b.point(blk, i)
+		pt := b.point(i)
 		for ci := ci0; ci < len(b.cands); ci++ {
 			counts[i] += b.candCount(&b.cands[ci], pt)
 			if counts[i] >= stopAt {
@@ -535,20 +420,17 @@ func (b *CellBatch) countTail(blk *geom.Block, ci0 int, stopAt int64, counts []i
 }
 
 // point gathers block point i into the batch's point scratch.
-func (b *CellBatch) point(blk *geom.Block, i int) []float64 {
-	if cap(b.pt) < b.dim {
-		b.pt = make([]float64, b.dim)
-	}
+func (b *CellBatch) point(i int) []float64 {
 	pt := b.pt[:b.dim]
 	for dd := range pt {
-		pt[dd] = blk.At(i, dd)
+		pt[dd] = b.blk.At(i, dd)
 	}
 	return pt
 }
 
 // AppendNeighborsBlock appends to dst the ids of boundary candidates with
-// at least one qualifying sub-cell for at least one selected point of blk
-// (sel[i] marks the points that matter — Phase II passes the cell's core
+// at least one qualifying sub-cell for at least one selected point of the
+// batch's block (sel[i] marks the points that matter — Phase II passes the cell's core
 // points). Per-point neighbor sets are only ever unioned by the caller, so
 // the blocked kernel answers the union directly, settling each candidate
 // as cheaply as it can:
@@ -569,14 +451,13 @@ func (b *CellBatch) point(blk *geom.Block, i int) []float64 {
 // the selected points, of the boundary candidates with a sub-cell centre
 // within eps — together with InsideCells, the union of the neighbor cells
 // NC (Algorithm 3 line 13) that Querier.Query reports for those points.
-func (b *CellBatch) AppendNeighborsBlock(blk *geom.Block, sel []bool, dst []int32) []int32 {
-	n := blk.N()
-	if n == 0 || len(b.cands) == 0 || !b.blockBox(blk, sel) {
+func (b *CellBatch) AppendNeighborsBlock(sel []bool, dst []int32) []int32 {
+	if len(b.cands) == 0 || !b.blockBox(sel) {
 		return dst
 	}
 	for ci := range b.cands {
 		c := &b.cands[ci]
-		gap2, span2, axis, above := b.boxPair(c)
+		gap2, span2 := b.boxPair(c.hull)
 		if gap2 > b.eps2 {
 			continue
 		}
@@ -584,41 +465,49 @@ func (b *CellBatch) AppendNeighborsBlock(blk *geom.Block, sel []bool, dst []int3
 			dst = append(dst, c.id) // every cell has >= 1 sub-cell
 			continue
 		}
-		if b.anyPointWithin(c, blk, axis, above) {
+		if axis, above := b.sepAxis(c.hull); b.anyPointWithin(c, axis, above) {
 			dst = append(dst, c.id)
 		}
 	}
 	return dst
 }
 
-// boxPair compares candidate c's hull with the box plo/phi of a set of
-// points. It returns the squared gap and the squared farthest distance
-// between the two, and the axis along which the hull lies farthest
-// outside the box, with whether it lies above. Per axis, up and down are
-// the hull's separation above and below the box, and their negations the
-// farthest extents, at least one of them non-negative. For any point p in
-// the box and centre x in the hull, fl(p-x) lies between -up and -down by
-// the monotonicity of rounded subtraction, so gap2 and span2 bound every
-// Dist2 between them.
-func (b *CellBatch) boxPair(c *batchCand) (gap2, span2 float64, axis int, above bool) {
-	lo, hi := b.hull(c)
+// boxPair compares hull h, the per-dimension minimum then maximum of a set
+// of sub-cell centres, with the box plo/phi of a set of points. It returns
+// the squared gap and the squared farthest distance between the two. Per
+// axis, up and down are the hull's separation above and below the box,
+// and their negations the farthest extents, at least one of them
+// non-negative. For any point p in the box and centre x in the hull,
+// fl(p-x) lies between -up and -down by the monotonicity of rounded
+// subtraction, so gap2 and span2 bound every Dist2 between them.
+func (b *CellBatch) boxPair(h []float64) (gap2, span2 float64) {
+	lo, hi := h[:b.dim], h[b.dim:2*b.dim]
 	plo, phi := b.plo[:len(lo)], b.phi[:len(lo)]
-	hi = hi[:len(lo)]
-	sep := math.Inf(-1)
 	for k := range lo {
 		up, down := lo[k]-phi[k], plo[k]-hi[k]
 		g := max(up, down, 0)
 		gap2 += g * g
 		m := max(-up, -down)
 		span2 += m * m
-		if up > sep {
+	}
+	return gap2, span2
+}
+
+// sepAxis returns the axis along which hull h lies farthest outside the
+// box plo/phi, and whether it lies above it.
+func (b *CellBatch) sepAxis(h []float64) (axis int, above bool) {
+	lo, hi := h[:b.dim], h[b.dim:2*b.dim]
+	plo, phi := b.plo[:len(lo)], b.phi[:len(lo)]
+	sep := math.Inf(-1)
+	for k := range lo {
+		if up := lo[k] - phi[k]; up > sep {
 			axis, sep, above = k, up, true
 		}
-		if down > sep {
+		if down := plo[k] - hi[k]; down > sep {
 			axis, sep, above = k, down, false
 		}
 	}
-	return gap2, span2, axis, above
+	return axis, above
 }
 
 // visitChunk is how many axis-sorted points anyPointWithin tests per
@@ -635,16 +524,16 @@ const visitChunk = 8
 // visit stops at the first chunk whose nearest point is beyond eps along
 // axis alone — the points after it are farther still, and a single Dist2
 // term beyond eps^2 bounds the whole sum.
-func (b *CellBatch) anyPointWithin(c *batchCand, blk *geom.Block, axis int, above bool) bool {
+func (b *CellBatch) anyPointWithin(c *batchCand, axis int, above bool) bool {
 	lo, hi := b.hull(c)
 	first := b.argLo[axis]
 	if above {
 		first = b.argHi[axis]
 	}
-	if b.pointWithin(c, b.point(blk, int(first))) {
+	if b.pointWithin(c, b.point(int(first))) {
 		return true
 	}
-	lanes := b.sortedAxis(blk, axis)
+	lanes := b.sortedAxis(axis)
 	ns := b.nsel
 	pt := b.pt[:b.dim]
 	var near, far [visitChunk]float64
@@ -707,11 +596,12 @@ func (b *CellBatch) pointWithin(c *batchCand, p []float64) bool {
 	return far2 <= b.eps2 || b.anyWithin(c, p)
 }
 
-// blockBox sets plo/phi to the bounding box of the points of blk that sel
-// selects (every point when sel is nil), argLo/argHi to the points
-// attaining it and nsel to their number, and reports whether any point is
-// selected.
-func (b *CellBatch) blockBox(blk *geom.Block, sel []bool) bool {
+// blockBox sets plo/phi to the bounding box of the points of the batch's
+// block that sel selects (every point when sel is nil), argLo/argHi to the
+// points attaining it and nsel to their number, and reports whether any
+// point is selected.
+func (b *CellBatch) blockBox(sel []bool) bool {
+	blk := b.blk
 	dim, n := b.dim, blk.N()
 	if len(b.axisReady) != dim {
 		b.plo, b.phi, b.pt = make([]float64, dim), make([]float64, dim), make([]float64, dim)
@@ -753,11 +643,11 @@ func (b *CellBatch) blockBox(blk *geom.Block, sel []bool) bool {
 	return true
 }
 
-// sortedAxis returns the selected points of blk as dim lanes of nsel
-// coordinates, ordered by their coordinate along axis; the first request
-// per block sorts and gathers them.
-func (b *CellBatch) sortedAxis(blk *geom.Block, axis int) []float64 {
-	ns := b.nsel
+// sortedAxis returns the selected points of the batch's block as dim lanes
+// of nsel coordinates, ordered by their coordinate along axis; the first
+// request per selection sorts and gathers them.
+func (b *CellBatch) sortedAxis(axis int) []float64 {
+	blk, ns := b.blk, b.nsel
 	if b.axisReady[axis] {
 		return b.byAxis[axis]
 	}

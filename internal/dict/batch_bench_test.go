@@ -61,43 +61,52 @@ func benchCountPoints(b *testing.B, stopAt int64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, cell := range g.Cells {
-			batch := q.QueryCell(cell.Key)
 			blk.Gather(pts, cell.Points)
+			batch := q.QueryCell(cell.Key, &blk)
 			counts = counts[:len(cell.Points)]
-			batch.CountPoints(&blk, stopAt, counts)
+			batch.CountPoints(stopAt, counts)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pts.N()), "ns/point")
 }
 
 // TestQueryCellAllocFree pins the steady-state zero-allocation contract of
-// the Phase II hot path: after one warm-up pass over all cells, QueryCell,
+// the Phase II hot path on both candidate paths (the 2-d stencil and the
+// 13-d hull tree): after one warm-up pass over all cells, QueryCell,
 // CountPoints and AppendNeighborsBlock allocate nothing.
 func TestQueryCellAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	pts := skewedPoints(r, 5000, 2, 80)
-	d := buildDict(pts, 4.0, 0.03, 0)
-	g := grid.Build(pts, 4.0)
-	q := NewQuerier(d)
-	var blk geom.Block
-	counts := make([]int64, 0, 4096)
-	sel := make([]bool, 0, 4096)
-	dst := make([]int32, 0, 4096)
-	pass := func() {
-		for _, cell := range g.Cells {
-			batch := q.QueryCell(cell.Key)
-			blk.Gather(pts, cell.Points)
-			counts = counts[:len(cell.Points)]
-			sel = sel[:len(cell.Points)]
-			for i := range sel {
-				sel[i] = true
+	for _, tc := range []struct {
+		pts *geom.Points
+		eps float64
+	}{
+		{skewedPoints(r, 5000, 2, 80), 4},
+		{chainPoints(r, 20, 50, 13, 3, 0.08), 3},
+	} {
+		pts := tc.pts
+		d := buildDict(pts, tc.eps, 0.03, 0)
+		g := grid.Build(pts, tc.eps)
+		q := NewQuerier(d)
+		var blk geom.Block
+		counts := make([]int64, 0, 4096)
+		sel := make([]bool, 0, 4096)
+		dst := make([]int32, 0, 4096)
+		pass := func() {
+			for _, cell := range g.Cells {
+				blk.Gather(pts, cell.Points)
+				batch := q.QueryCell(cell.Key, &blk)
+				counts = counts[:len(cell.Points)]
+				sel = sel[:len(cell.Points)]
+				for i := range sel {
+					sel[i] = true
+				}
+				batch.CountPoints(0, counts)
+				dst = batch.AppendNeighborsBlock(sel, dst[:0])
 			}
-			batch.CountPoints(&blk, 0, counts)
-			dst = batch.AppendNeighborsBlock(&blk, sel, dst[:0])
 		}
-	}
-	pass() // warm up scratch to steady-state capacity
-	if n := testing.AllocsPerRun(5, pass); n != 0 {
-		t.Fatalf("batched query pass allocates %v per run", n)
+		pass() // warm up scratch to steady-state capacity
+		if n := testing.AllocsPerRun(5, pass); n != 0 {
+			t.Fatalf("dim=%d: batched query pass allocates %v per run", pts.Dim, n)
+		}
 	}
 }

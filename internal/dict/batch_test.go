@@ -42,20 +42,22 @@ func checkBatchMatchesQuery(t *testing.T, pts *geom.Points, eps, rho float64, ma
 	batched := NewQuerier(d)
 	var blk geom.Block
 	for _, cell := range grid.Build(pts, eps).Cells {
-		checkCellMatchesQuery(t, fmt.Sprintf("maxCells=%d", maxCells), oracle, batched.QueryCell(cell.Key), pts, cell.Points, &blk)
+		checkCellMatchesQuery(t, fmt.Sprintf("maxCells=%d", maxCells), oracle, batched, cell, pts, &blk)
 	}
 }
 
-// checkCellMatchesQuery checks one QueryCell batch against the per-point
-// oracle over the cell's points: CountPoints at stopAt=0 gives every
+// checkCellMatchesQuery gathers cell into blk, runs it through QueryCell
+// and checks the batch against the per-point oracle over the cell's
+// points: CountPoints at stopAt=0 gives every
 // point's exact count; at any stopAt > 0 it gives the exact count of every
 // point below stopAt and a count in [stopAt, exact] otherwise, so the core
 // decision never changes; and for several point selections (alternate
 // points, all, the first, the last) AppendNeighborsBlock, which never
 // repeats an id, unioned with InsideCells is exactly the union of the
 // oracle's neighbor cells.
-func checkCellMatchesQuery(t *testing.T, tag string, oracle *Querier, b *CellBatch, pts *geom.Points, points []int, blk *geom.Block) {
+func checkCellMatchesQuery(t *testing.T, tag string, oracle, batched *Querier, cell *grid.Cell, pts *geom.Points, blk *geom.Block) {
 	t.Helper()
+	points := cell.Points
 	n := len(points)
 	want := make([]int64, n)
 	wantCells := make([][]int32, n)
@@ -63,8 +65,9 @@ func checkCellMatchesQuery(t *testing.T, tag string, oracle *Querier, b *CellBat
 		want[i], wantCells[i] = oracle.Query(pts.At(pi), true, nil)
 	}
 	blk.Gather(pts, points)
+	b := batched.QueryCell(cell.Key, blk)
 	counts := make([]int64, n)
-	b.CountPoints(blk, 0, counts)
+	b.CountPoints(0, counts)
 	for i := range counts {
 		if counts[i] != want[i] {
 			t.Fatalf("%s: CountPoints[%d]=%d, Query=%d", tag, i, counts[i], want[i])
@@ -75,7 +78,7 @@ func checkCellMatchesQuery(t *testing.T, tag string, oracle *Querier, b *CellBat
 		if stop <= 0 {
 			continue
 		}
-		b.CountPoints(blk, stop, counts)
+		b.CountPoints(stop, counts)
 		for i, got := range counts {
 			if want[i] < stop && got != want[i] || want[i] >= stop && (got < stop || got > want[i]) {
 				t.Fatalf("%s stop=%d: CountPoints[%d]=%d, Query=%d", tag, stop, i, got, want[i])
@@ -99,7 +102,7 @@ func checkCellMatchesQuery(t *testing.T, tag string, oracle *Querier, b *CellBat
 			}
 		}
 		got := map[int32]bool{}
-		for _, id := range b.AppendNeighborsBlock(blk, sel, nil) {
+		for _, id := range b.AppendNeighborsBlock(sel, nil) {
 			if got[id] {
 				t.Fatalf("%s: AppendNeighborsBlock repeats id %d", tag, id)
 			}
@@ -135,6 +138,78 @@ func TestQueryCellMatchesQuery(t *testing.T) {
 		skewed := skewedPoints(r, 500, tc.dim, 8)
 		checkBatchMatchesQuery(t, skewed, 1.2, tc.rho, tc.maxCells)
 	}
+	// The high-dimensional hull-tree path, and cells whose sub-centre
+	// hulls span the whole cell, at the origin and far from it.
+	for _, shift := range []float64{0, 1e6} {
+		for _, maxCells := range []int{0, 16} {
+			chain := chainPoints(r, 20, 20, 13, 3, 0.08)
+			translate(chain, shift*3)
+			checkBatchMatchesQuery(t, chain, 3, 0.1, maxCells)
+			for _, dim := range []int{2, 5} {
+				full := fullHullPoints(r, 60, dim, 1.2, 0.25, shift*1.2)
+				checkBatchMatchesQuery(t, full, 1.2, 0.25, maxCells)
+			}
+		}
+	}
+}
+
+// chainPoints returns tight Gaussian clumps (per-dimension deviation sd)
+// strung along a random direction at 0.6-1.1 eps apart, so neighboring
+// clumps straddle eps of each other: in high dimension a uniform set puts
+// one point in every cell and settles every candidate at the cell pair.
+func chainPoints(r *rand.Rand, clumps, per, dim int, eps, sd float64) *geom.Points {
+	u := make([]float64, dim)
+	var norm float64
+	for i := range u {
+		u[i] = r.NormFloat64()
+		norm += u[i] * u[i]
+	}
+	for i := range u {
+		u[i] /= math.Sqrt(norm)
+	}
+	p := geom.NewPoints(dim, clumps*per)
+	row := make([]float64, dim)
+	at := 0.0
+	for c := 0; c < clumps; c++ {
+		at += eps * (0.6 + 0.5*r.Float64())
+		for k := 0; k < per; k++ {
+			for i := range row {
+				row[i] = at*u[i] + r.NormFloat64()*sd
+			}
+			p.Append(row)
+		}
+	}
+	return p
+}
+
+// fullHullPoints returns random points in cells whose sub-centre hulls
+// span the whole cell: every cell that receives a random point also gets
+// one point just inside its minimum corner and one just inside its
+// maximum corner, in the corner sub-cells of the sub-cell grid for rho.
+// The cells lie a whole number of cells from about off.
+func fullHullPoints(r *rand.Rand, cells, dim int, eps, rho, off float64) *geom.Points {
+	side := grid.Side(eps, dim)
+	base := math.Round(off / side)
+	inset := side / float64(int64(1)<<grid.SubShift(rho)) / 4
+	p := geom.NewPoints(dim, 3*cells)
+	row := make([]float64, dim)
+	key := make([]float64, dim)
+	for c := 0; c < cells; c++ {
+		for j := range key {
+			key[j] = base + float64(r.Intn(6))
+		}
+		for _, at := range []func(j int) float64{
+			func(j int) float64 { return (key[j] + r.Float64()) * side },
+			func(j int) float64 { return key[j]*side + inset },
+			func(j int) float64 { return (key[j]+1)*side - inset },
+		} {
+			for j := range row {
+				row[j] = at(j)
+			}
+			p.Append(row)
+		}
+	}
+	return p
 }
 
 // TestQueryCellStraddlesSubDicts pins the case where a query cell's
@@ -161,8 +236,10 @@ func TestQueryCellInsideClassification(t *testing.T) {
 	q := NewQuerier(d)
 	g := grid.Build(pts, 3.0)
 	sawInside := false
+	var blk geom.Block
 	for _, cell := range g.Cells {
-		b := q.QueryCell(cell.Key)
+		blk.Gather(pts, cell.Points)
+		b := q.QueryCell(cell.Key, &blk)
 		if len(b.InsideCells()) > 0 {
 			sawInside = true
 		}
@@ -179,7 +256,7 @@ func TestQueryCellInsideClassification(t *testing.T) {
 // per-point oracle over generated data, cell by cell, with the checks of
 // checkCellMatchesQuery: exact counts, core decisions at every early-exit
 // threshold, and neighbor-cell unions. Dimensions 1-4 take the stencil
-// path, 5 the kd-tree; every fourth seed translates the data by about
+// path, 5 the hull tree; every fourth seed translates the data by about
 // 1e6*eps, far from the origin. Seeds include a defragmentation bound of
 // 2, which makes every query cell straddle sub-dictionary MBRs.
 func FuzzQueryCellEquivalence(f *testing.F) {
@@ -209,7 +286,7 @@ func FuzzQueryCellEquivalence(f *testing.F) {
 		tag := fmt.Sprintf("seed=%d dim=%d maxCells=%d", seed, d, mc)
 		var blk geom.Block
 		for _, cell := range grid.Build(pts, eps).Cells {
-			checkCellMatchesQuery(t, tag, oracle, batched.QueryCell(cell.Key), pts, cell.Points, &blk)
+			checkCellMatchesQuery(t, tag, oracle, batched, cell, pts, &blk)
 		}
 	})
 }

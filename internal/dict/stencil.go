@@ -3,19 +3,13 @@ package dict
 // Neighbor-cell stencil for low-dimensional dictionaries (the grid method
 // of Wang, Gu & Shun, SIGMOD'20). A cell's neighbors within eps lie at
 // integer offsets of at most r = ceil(sqrt(d)) cells per dimension, so
-// instead of a kd-tree walk per query cell QueryCell enumerates the
-// (2r+1)^d offsets — at most 625, for d = 4. The offsets are classified
-// once per dictionary, relative to the query cell:
-//
-//   - outside: the exact integer test sum_i ((|delta_i|-1)^+)^2 > d. The
-//     boxes' gap is (|delta_i|-1)^+ cells per dimension and side^2 =
-//     eps^2/d, so this is gap^2 > eps^2 with no rounding at all.
-//   - inside: QueryCell's box bound bmax, evaluated on the relative
-//     offset with its slack widened by the floating-point error of the
-//     dictionary's absolute coordinates, and compared with a relative
-//     margin. Every sub-centre then lies within eps of every point of the
-//     query cell.
-//   - boundary: everything else; per-point residuals decide exactly.
+// instead of a hull-tree walk per query cell QueryCell enumerates the
+// (2r+1)^d offsets — at most 625, for d = 4. The offsets are marked once
+// per dictionary, relative to the query cell: an offset is out of reach
+// when the exact integer test sum_i ((|delta_i|-1)^+)^2 > d holds. The
+// boxes' gap is (|delta_i|-1)^+ cells per dimension and side^2 = eps^2/d,
+// so this is gap^2 > eps^2 with no rounding at all. QueryCell classifies
+// the cells at every other offset by their hulls (batch.go).
 //
 // Ids are assigned in ascending key order and keys sort by coordinate, so
 // the cells sharing their first d-1 coordinates (a row) form one
@@ -24,7 +18,6 @@ package dict
 // cells within r of the query cell's last coordinate.
 
 import (
-	"math"
 	"math/bits"
 
 	"rpdbscan/internal/grid"
@@ -32,19 +25,8 @@ import (
 
 // maxStencilDim is the largest dimensionality served by the stencil:
 // (2*ceil(sqrt(d))+1)^d grows to 625 offsets at d = 4 and 16807 at d = 5,
-// where the kd-tree's pruning wins.
+// where the hull tree's pruning wins.
 const maxStencilDim = 4
-
-// Stencil offset classes.
-const (
-	stenOutside uint8 = iota
-	stenBoundary
-	stenInside
-)
-
-// insideMargin is the relative margin of the inside test: it absorbs the
-// rounding of the bmax evaluation and of the Dist2 sums it stands for.
-const insideMargin = 1e-12
 
 // stencil is a dictionary's neighbor-cell index; see the file comment.
 type stencil struct {
@@ -58,10 +40,10 @@ type stencil struct {
 	rows     map[uint64]int32
 	rowStart []int32
 	last     []int32 // last coordinate of every cell, by id
-	// offs lists the d-1 prefix offsets of each stencil row; class holds
-	// the w classes of each stencil row, indexed by last offset + r.
+	// offs lists the d-1 prefix offsets of each stencil row; reach holds
+	// the w reach marks of each stencil row, indexed by last offset + r.
 	offs  []int64
-	class []uint8
+	reach []bool
 }
 
 // newStencil builds d's stencil, or returns nil when d is not served by
@@ -115,7 +97,7 @@ func newStencil(d *Dictionary) *stencil {
 	if !(d.SubSide/2 > 2*errAbs+d.Eps*0x1p-40) {
 		return nil
 	}
-	s.classify(d, errAbs)
+	s.mark(dim)
 
 	s.rows = make(map[uint64]int32)
 	var prev uint64
@@ -148,22 +130,14 @@ func (s *stencil) rowKey(k grid.Key, off []int64) (rk uint64, ok bool) {
 	return rk, true
 }
 
-// classify fills offs and class for every offset of [-r, r]^d.
-func (s *stencil) classify(d *Dictionary, errAbs float64) {
-	dim := d.Dim
-	side := d.Side
-	eps2 := d.Eps * d.Eps
-	// QueryCell's slack, widened by the absolute-coordinate error: the
-	// query box grows and the sub-centre inset shrinks by pad.
-	pad := side*1e-9 + errAbs
-	inset := max(d.SubSide/2-pad, 0)
-	qlo, qhi := -pad, side+pad
+// mark fills offs and reach for every offset of [-r, r]^dim.
+func (s *stencil) mark(dim int) {
 	nrows := 1
 	for i := 0; i < dim-1; i++ {
 		nrows *= s.w
 	}
 	s.offs = make([]int64, 0, nrows*(dim-1))
-	s.class = make([]uint8, 0, nrows*s.w)
+	s.reach = make([]bool, 0, nrows*s.w)
 	delta := make([]int64, dim)
 	for row := 0; row < nrows; row++ {
 		// Row-major enumeration: prefix coordinate dim-2 varies fastest.
@@ -175,25 +149,12 @@ func (s *stencil) classify(d *Dictionary, errAbs float64) {
 		for dl := -s.r; dl <= s.r; dl++ {
 			delta[dim-1] = dl
 			var gap int64
-			var bmax float64
 			for _, v := range delta {
 				if g := abs64(v) - 1; g > 0 {
 					gap += g * g
 				}
-				clo := float64(v) * side
-				chi := clo + side
-				hlo, hhi := clo+inset, chi-inset
-				m := max(math.Abs(qhi-hlo), math.Abs(hhi-qlo), math.Abs(qlo-hlo), math.Abs(hhi-qhi))
-				bmax += m * m
 			}
-			switch {
-			case gap > int64(dim):
-				s.class = append(s.class, stenOutside)
-			case bmax*(1+insideMargin) <= eps2:
-				s.class = append(s.class, stenInside)
-			default:
-				s.class = append(s.class, stenBoundary)
-			}
+			s.reach = append(s.reach, gap <= int64(dim))
 		}
 	}
 }

@@ -42,14 +42,13 @@ func subCenterAt(d *Dictionary, origin []float64, idx []uint64) []float64 {
 	return out
 }
 
-// TestStencilClasses proves the stencil's classification for d = 1..4,
-// at the origin and translated by 1e6*eps, for rho from 1 to fine.
-// The outside class is exact: an offset is outside iff the exact box gap
-// exceeds eps, and every offset beyond the stencil has a gap of at least
-// eps. Both are sound under floating point: the closest sub-centre of an
-// outside or excluded cell is beyond eps of every point KeyFor assigns to
-// the query cell. The inside class is sound: the farthest sub-centre of
-// an inside cell is within eps of every such point.
+// TestStencilClasses proves the stencil's reach marks for d = 1..4, at
+// the origin and translated by 1e6*eps, for rho from 1 to fine. They are
+// exact: an offset is out of reach iff the exact box gap exceeds eps, and
+// every offset beyond the stencil has a gap of at least eps. Both are
+// sound under floating point: the closest sub-centre of an out-of-reach or
+// excluded cell is beyond eps of every point KeyFor assigns to the query
+// cell.
 func TestStencilClasses(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for dim := 1; dim <= maxStencilDim; dim++ {
@@ -62,39 +61,22 @@ func TestStencilClasses(t *testing.T) {
 				if d.sten == nil {
 					t.Fatalf("dim=%d rho=%g shift=%g: no stencil", dim, rho, shiftBy)
 				}
-				inside := checkStencilClasses(t, d, grid.KeyFor(pts.At(0), d.Side))
-				// With rho = 1 the lone sub-centre sits mid-cell, so the
-				// face neighbors fall inside from d = 3 on.
-				if want := 1 + 2*dim; rho == 1 && dim >= 3 && inside < want {
-					t.Fatalf("dim=%d rho=1: %d inside offsets, want at least %d", dim, inside, want)
-				}
+				checkStencilClasses(t, d, grid.KeyFor(pts.At(0), d.Side))
 			}
 		}
 	}
 }
 
-// checkStencilClasses checks every stencil offset around query cell q and
-// returns the number of inside offsets.
-func checkStencilClasses(t *testing.T, d *Dictionary, q grid.Key) (inside int) {
+// checkStencilClasses checks every stencil offset around query cell q.
+func checkStencilClasses(t *testing.T, d *Dictionary, q grid.Key) {
 	t.Helper()
 	s, dim := d.sten, d.Dim
 	eps2 := d.Eps * d.Eps
 	maxIdx := uint64(1)<<d.Shift - 1
-	// The query cell's extreme points: every corner of its KeyFor range.
+	// The query cell's extreme coordinates of its KeyFor range.
 	qlo, qhi := make([]float64, dim), make([]float64, dim)
 	for i := 0; i < dim; i++ {
 		qlo[i], qhi[i] = cellExtremes(int64(q.Coord(i)), d.Side)
-	}
-	corners := make([][]float64, 0, 1<<dim)
-	for m := 0; m < 1<<dim; m++ {
-		p := make([]float64, dim)
-		for i := range p {
-			p[i] = qlo[i]
-			if m>>i&1 == 1 {
-				p[i] = qhi[i]
-			}
-		}
-		corners = append(corners, p)
 	}
 	delta := make([]int64, dim)
 	origin := make([]float64, dim)
@@ -116,19 +98,16 @@ func checkStencilClasses(t *testing.T, d *Dictionary, q grid.Key) (inside int) {
 			}
 			origin[i] = float64(int64(q.Coord(i))+delta[i]) * d.Side
 		}
-		cls := stenOutside
+		reach := false
 		if inStencil {
 			row := 0
 			for i := 0; i < dim-1; i++ {
 				row = row*s.w + int(delta[i]+s.r)
 			}
-			cls = s.class[row*s.w+int(delta[dim-1]+s.r)]
-			if cls == stenInside {
-				inside++
-			}
-			if (cls == stenOutside) != (gap > int64(dim)) {
-				t.Fatalf("dim=%d offset %v: class %d, box gap^2 %d side^2 vs eps^2 %d side^2",
-					dim, delta, cls, gap, dim)
+			reach = s.reach[row*s.w+int(delta[dim-1]+s.r)]
+			if reach != (gap <= int64(dim)) {
+				t.Fatalf("dim=%d offset %v: reach %v, box gap^2 %d side^2 vs eps^2 %d side^2",
+					dim, delta, reach, gap, dim)
 			}
 		} else if gap < int64(dim) {
 			t.Fatalf("dim=%d offset %v beyond the stencil has a box gap below eps", dim, delta)
@@ -149,22 +128,8 @@ func checkStencilClasses(t *testing.T, d *Dictionary, q grid.Key) (inside int) {
 			}
 			near[i] = uint64(min(max(math.Floor((p[i]-origin[i])/d.SubSide), 0), float64(maxIdx)))
 		}
-		if x := subCenterAt(d, origin, near); cls == stenOutside && geom.Dist2(p, x) <= eps2 {
-			t.Fatalf("dim=%d offset %v classed outside, but %v is within eps of %v", dim, delta, x, p)
-		}
-		// The farthest pairs: every extreme query point against the
-		// sub-centre farthest from it.
-		for _, p := range corners {
-			far := make([]uint64, dim)
-			for i := range p {
-				if p[i] < origin[i]+d.Side/2 {
-					far[i] = maxIdx
-				}
-			}
-			if x := subCenterAt(d, origin, far); cls == stenInside && geom.Dist2(p, x) > eps2 {
-				t.Fatalf("dim=%d offset %v classed inside, but %v is beyond eps of %v", dim, delta, x, p)
-			}
+		if x := subCenterAt(d, origin, near); !reach && geom.Dist2(p, x) <= eps2 {
+			t.Fatalf("dim=%d offset %v marked out of reach, but %v is within eps of %v", dim, delta, x, p)
 		}
 	}
-	return inside
 }

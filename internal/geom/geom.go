@@ -206,19 +206,6 @@ func (b Box) Outside(p []float64, eps float64) bool {
 	return false
 }
 
-// OutsideBox reports whether the two boxes are farther than eps apart along
-// at least one coordinate — the box-level generalisation of Outside used by
-// cell-batched region queries: no point of o can be within eps of any point
-// of b when the test holds.
-func (b Box) OutsideBox(o Box, eps float64) bool {
-	for i := range b.Min {
-		if b.Max[i] < o.Min[i]-eps || b.Min[i] > o.Max[i]+eps {
-			return true
-		}
-	}
-	return false
-}
-
 // BoxMinDist2 returns the squared distance between the nearest pair of
 // points of the two boxes (zero when they intersect).
 func (b Box) BoxMinDist2(o Box) float64 {

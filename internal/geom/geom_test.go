@@ -187,17 +187,10 @@ func TestBoxBoxDistances(t *testing.T) {
 	if got := a.BoxMaxDist2(c); got != 8 {
 		t.Fatalf("BoxMaxDist2 overlapping = %g, want 8", got)
 	}
-	if a.OutsideBox(b, 1.9) != true {
-		t.Fatal("OutsideBox: gap 2 > eps 1.9 not detected")
-	}
-	if a.OutsideBox(b, 2.0) != false {
-		t.Fatal("OutsideBox: gap 2 <= eps 2 misreported")
-	}
 }
 
 // Property: box-to-box min/max distances sandwich the distance between any
-// pair of contained points, and OutsideBox implies every pair is farther
-// than eps apart.
+// pair of contained points.
 func TestBoxBoxDistSandwichProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
@@ -229,10 +222,6 @@ func TestBoxBoxDistSandwichProperty(t *testing.T) {
 		}
 		if max := a.BoxMaxDist2(b); d2 > max+1e-12 {
 			t.Fatalf("point pair farther (%g) than BoxMaxDist2 (%g)", d2, max)
-		}
-		eps := r.Float64() * 3
-		if a.OutsideBox(b, eps) && Dist2(pa, pb) <= eps*eps {
-			t.Fatal("OutsideBox true but contained points within eps")
 		}
 	}
 }

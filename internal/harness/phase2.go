@@ -24,9 +24,16 @@ import (
 // phase2Stage is the engine stage name Phase II runs under.
 const phase2Stage = "cell-graph-construction"
 
-// phase2Rounds is how many times each mode runs; the fastest round is
-// reported, testing.B-style, to shed scheduler noise.
-const phase2Rounds = 3
+// Each mode runs until it has at least phase2MinRounds rounds and its
+// stage times sum to at least phase2MinStage; the fastest round is
+// reported, testing.B-style, to shed scheduler noise. The blocked stage
+// takes about 1 ms at the default sizes, and the fastest of only three
+// such rounds moved by up to 2x between runs of unchanged code.
+const phase2MinRounds = 3
+
+// phase2MinStage is a variable only so that tests checking the sweep's
+// shape, not its timings, can drop the budget.
+var phase2MinStage = 250 * time.Millisecond
 
 // phase2Dims is the dimensionality sweep.
 var phase2Dims = []int{2, 3, 5}
@@ -40,8 +47,11 @@ type Phase2Row struct {
 	N    int    `json:"n"`
 	Dim  int    `json:"dim"`
 	// StageMillis is the summed task time of the Phase II stage across
-	// all partitions (fastest of phase2Rounds runs).
+	// all partitions, in the fastest of Rounds runs.
 	StageMillis float64 `json:"stage_millis"`
+	// Rounds is how many runs the mode took to reach phase2MinRounds and
+	// phase2MinStage.
+	Rounds int `json:"rounds"`
 	// NsPerOp is stage time per region query; one query per point.
 	NsPerOp float64 `json:"ns_per_op"`
 	// AllocsPerOp is the stage's heap-allocation count per point
@@ -79,11 +89,13 @@ func Phase2(s Scale) ([]Phase2Row, error) {
 			type modeOut struct {
 				stage  time.Duration
 				allocs int64
+				rounds int
 				labels []int
 			}
 			measure := func(perPoint bool) (modeOut, error) {
 				var out modeOut
-				for round := 0; round < phase2Rounds; round++ {
+				var spent time.Duration
+				for ; out.rounds < phase2MinRounds || spent < phase2MinStage; out.rounds++ {
 					mcfg := cfg
 					mcfg.DisableBatching = perPoint
 					cl := engine.New(s.Workers)
@@ -96,7 +108,8 @@ func Phase2(s Scale) ([]Phase2Row, error) {
 					if st == nil {
 						return out, fmt.Errorf("harness: stage %q missing from report", phase2Stage)
 					}
-					if round == 0 || st.Total() < out.stage {
+					spent += st.Total()
+					if out.rounds == 0 || st.Total() < out.stage {
 						out.stage = st.Total()
 						out.allocs = st.MallocDelta
 					}
@@ -123,6 +136,7 @@ func Phase2(s Scale) ([]Phase2Row, error) {
 				r := Phase2Row{
 					Mode: mode, N: pts.N(), Dim: pts.Dim,
 					StageMillis: float64(o.stage.Microseconds()) / 1e3,
+					Rounds:      o.rounds,
 					NsPerOp:     float64(o.stage.Nanoseconds()) / np,
 					AllocsPerOp: float64(o.allocs) / np,
 					RandIndex:   metrics.RandIndex(blocked.labels, o.labels),

@@ -167,15 +167,20 @@ func TestInBallAllocFree(t *testing.T) {
 	box := geom.NewBox(3)
 	box.Extend(queries[0])
 	box.Extend(queries[1])
+	boxes := make([]float64, 0, 2*len(pts.Coords))
+	for i := 0; i < pts.N(); i++ {
+		boxes = append(append(boxes, pts.At(i)...), pts.At(i)...)
+	}
+	bt := BuildBoxes(boxes, 3, nil)
 	if n := testing.AllocsPerRun(50, func() {
 		dst = tr.InBall(queries[0], 3, dst[:0])
 	}); n != 0 {
 		t.Fatalf("InBall allocates %v per call", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		dst = tr.InBallBox(box, 2, dst[:0])
+		dst = bt.WithinGap(box.Min, box.Max, 2, dst[:0])
 	}); n != 0 {
-		t.Fatalf("InBallBox allocates %v per call", n)
+		t.Fatalf("WithinGap allocates %v per call", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
 		tr.NearestInBall(queries[2], 4)
